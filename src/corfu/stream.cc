@@ -150,7 +150,6 @@ void StreamStore::StartAsyncPrefetch(LogOffset from, LogOffset limit,
     apf_.has_results = false;
     apf_.results.clear();
   }
-  ++async_prefetch_batches_;
   obs_async_batches_->Add();
   executor->Submit([this, wanted = std::move(wanted)] {
     Result<std::vector<CorfuClient::BatchedRead>> batch =
@@ -348,20 +347,30 @@ Status StreamStore::Backfill(StreamId stream, StreamState& state,
   return Status::Ok();
 }
 
-namespace {
-
-// Sync failures that mean "the cluster is shedding or partially out", where
-// a stale answer beats no answer.  kSealedEpoch and hard errors are not
-// brown-out material: the former already retried inside the client, and the
-// latter would hide real bugs.
-bool BrownoutStatus(const Status& st) {
-  return st == StatusCode::kBusy || st == StatusCode::kUnavailable ||
-         st == StatusCode::kTimeout;
+bool StreamStore::IsStale(StreamId stream) const {
+  auto it = streams_.find(stream);
+  return it != streams_.end() && it->second.stale;
 }
 
-}  // namespace
+LogOffset StreamStore::SyncedTail(StreamId stream) const {
+  auto it = streams_.find(stream);
+  return it == streams_.end() ? 0 : it->second.synced_tail;
+}
 
-LogOffset StreamStore::ServeStaleTail(StreamState& state) {
+Result<LogOffset> StreamStore::Sync(StreamId stream) {
+  Result<LogOffset> tail = SyncAll({stream});
+  // Brown-out material is "the cluster is shedding or partially out", where
+  // a stale answer beats no answer.  kSealedEpoch already retried inside the
+  // client, and hard errors would hide real bugs.
+  if (tail.ok() || !options_.brownout_stale_reads ||
+      (tail.status() != StatusCode::kBusy &&
+       tail.status() != StatusCode::kUnavailable &&
+       tail.status() != StatusCode::kTimeout)) {
+    return tail;
+  }
+  // Readers keep consuming everything already discovered — entries are
+  // immutable, so the list is correct, just possibly behind.
+  StreamState& state = StateFor(stream);
   stale_syncs_->Add();
   if (!state.stale) {
     state.stale = true;
@@ -370,34 +379,29 @@ LogOffset StreamStore::ServeStaleTail(StreamState& state) {
   return state.synced_tail;
 }
 
-void StreamStore::MarkFresh(StreamState& state) {
-  if (state.stale) {
-    state.stale = false;
-    stale_streams_->Add(-1);
-  }
-}
-
-bool StreamStore::IsStale(StreamId stream) const {
-  auto it = streams_.find(stream);
-  return it != streams_.end() && it->second.stale;
-}
-
-Result<LogOffset> StreamStore::Sync(StreamId stream) {
-  StreamState& state = StateFor(stream);
-  Result<SequencerTailInfo> info = log_->StreamTails({stream});
+Result<LogOffset> StreamStore::SyncAll(const std::vector<StreamId>& streams) {
+  Result<SequencerTailInfo> info = log_->StreamTails(streams);
   if (!info.ok()) {
-    if (options_.brownout_stale_reads && BrownoutStatus(info.status())) {
-      // Brown-out: the sequencer (or the path to it) is shedding.  Readers
-      // keep consuming everything already discovered — entries are
-      // immutable, so the list is correct, just possibly behind.
-      return ServeStaleTail(state);
-    }
     return info.status();
   }
-  TANGO_RETURN_IF_ERROR(Backfill(stream, state, info->backpointers[0]));
-  state.synced_tail = info->tail;
-  MarkFresh(state);
+  TANGO_RETURN_IF_ERROR(Fold(streams, *info));
   return info->tail;
+}
+
+Status StreamStore::Fold(const std::vector<StreamId>& streams,
+                         const SequencerTailInfo& info) {
+  for (size_t i = 0; i < streams.size(); ++i) {
+    StreamState& state = StateFor(streams[i]);
+    // Backfill only adds offsets above the list's newest one, and every
+    // backpointer of an older answer lies at or below it.
+    TANGO_RETURN_IF_ERROR(Backfill(streams[i], state, info.backpointers[i]));
+    state.synced_tail = std::max(state.synced_tail, info.tail);
+    if (state.stale) {
+      state.stale = false;
+      stale_streams_->Add(-1);
+    }
+  }
+  return Status::Ok();
 }
 
 Result<StreamEntry> StreamStore::ReadNext(StreamId stream) {
@@ -448,34 +452,6 @@ const std::vector<LogOffset>& StreamStore::KnownOffsets(
 }
 
 void StreamStore::ResetCursor(StreamId stream) { StateFor(stream).cursor = 0; }
-
-Result<LogOffset> StreamStore::SyncAll(const std::vector<StreamId>& streams) {
-  if (streams.empty()) {
-    return log_->CheckTail();
-  }
-  Result<SequencerTailInfo> info = log_->StreamTails(streams);
-  if (!info.ok()) {
-    if (options_.brownout_stale_reads && BrownoutStatus(info.status())) {
-      // Brown-out: every requested stream serves its last synced list; the
-      // returned tail is the most conservative one (all lists are complete
-      // up to the minimum).
-      LogOffset tail = kInvalidOffset;
-      for (StreamId stream : streams) {
-        tail = std::min(tail, ServeStaleTail(StateFor(stream)));
-      }
-      return tail;
-    }
-    return info.status();
-  }
-  for (size_t i = 0; i < streams.size(); ++i) {
-    StreamState& state = StateFor(streams[i]);
-    TANGO_RETURN_IF_ERROR(
-        Backfill(streams[i], state, info->backpointers[i]));
-    state.synced_tail = info->tail;
-    MarkFresh(state);
-  }
-  return info->tail;
-}
 
 void StreamStore::AdvanceCursor(StreamId stream) {
   StreamState& state = StateFor(stream);

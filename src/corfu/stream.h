@@ -11,8 +11,10 @@
 //
 // Thread safety: StreamStore is designed to sit under the Tango runtime's
 // playback lock; concurrent Append/MultiAppend calls are safe (they only
-// touch the CorfuClient), but Sync/ReadNext for the same store must be
-// externally serialized.
+// touch the CorfuClient), but Sync/Fold/ReadNext for the same store must be
+// externally serialized.  A sync splits into an ask (CorfuClient::StreamTails,
+// thread safe, so callers issue it before taking their lock) and a Fold of
+// the answer, which is the only part that needs the serialization.
 
 #ifndef SRC_CORFU_STREAM_H_
 #define SRC_CORFU_STREAM_H_
@@ -97,11 +99,18 @@ class StreamStore {
   tango::Result<StreamEntry> PeekNext(StreamId stream);
 
   // Syncs several streams with a single sequencer round trip; returns the
-  // global log tail.  Equivalent to calling Sync on each stream.  Under
-  // brown-out (every requested stream already synced once, overload
-  // failure) returns the most conservative stale tail: the minimum of the
-  // streams' last synced tails.
+  // global log tail.  Never browns out: a failed round trip is the result.
   tango::Result<LogOffset> SyncAll(const std::vector<StreamId>& streams);
+
+  // Folds a sequencer answer for `streams` (parallel to info.backpointers)
+  // into their lists.  Monotone, so answers may arrive out of order: one
+  // older than a stream's synced tail discovers nothing, and synced tails
+  // only move forward.
+  tango::Status Fold(const std::vector<StreamId>& streams,
+                     const SequencerTailInfo& info);
+
+  // The log tail up to which the stream's known offsets are complete.
+  LogOffset SyncedTail(StreamId stream) const;
 
   // Whether the stream's last Sync served a stale (brown-out) tail rather
   // than a fresh sequencer answer.
@@ -167,21 +176,14 @@ class StreamStore {
   uint64_t cache_misses() const { return cache_misses_; }
   // Number of ReadBatch calls issued by the prefetcher.
   uint64_t prefetch_batches() const { return prefetch_batches_; }
-  // Number of background (overlapped) prefetch batches launched.
-  uint64_t async_prefetch_batches() const { return async_prefetch_batches_; }
 
  private:
   struct StreamState {
     std::vector<LogOffset> offsets;  // ascending, complete up to synced_tail
     size_t cursor = 0;               // index into offsets
-    LogOffset synced_tail = 0;       // log tail as of the last Sync
+    LogOffset synced_tail = 0;       // newest tail folded in
     bool stale = false;              // last Sync was a brown-out answer
   };
-
-  // Marks `state` stale (metrics included) and returns its last synced
-  // tail; the brown-out path shared by Sync and SyncAll.
-  LogOffset ServeStaleTail(StreamState& state);
-  void MarkFresh(StreamState& state);
 
   // Walks backpointers (and, on junk dead-ends, scans) to discover every
   // offset of `stream` in (floor, start_set...], appending them ascending.
@@ -221,7 +223,6 @@ class StreamStore {
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   uint64_t prefetch_batches_ = 0;
-  uint64_t async_prefetch_batches_ = 0;
 
   // In-flight background prefetch.  `offsets` is written by the owning
   // thread before launch and read only by it; the mutex guards the

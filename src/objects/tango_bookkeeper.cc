@@ -36,7 +36,10 @@ Result<TangoBk::LedgerHandle> TangoBk::CreateLedger() {
     w.PutU8(kCreateLedger);
     w.PutU64(id);
     w.PutU64(token);
-    Status st = runtime_->UpdateHelper(oid_, w.bytes(), uint64_t{0});
+    // Unkeyed, so parallel playback orders it before any later write to the
+    // new ledger's key; it still conflicts with racing creates, which read
+    // key 0.
+    Status st = runtime_->UpdateHelper(oid_, w.bytes());
     if (!st.ok()) {
       runtime_->AbortTx();
       return st;

@@ -97,6 +97,8 @@ Status TangoRuntime::RegisterObject(ObjectId oid, TangoObject* object,
   state.config = config;
   objects_.emplace(oid, std::move(state));
   store_.Open(oid);
+  std::lock_guard<std::mutex> hosted_lock(hosted_mu_);
+  hosted_.push_back(oid);
   return Status::Ok();
 }
 
@@ -105,6 +107,8 @@ Status TangoRuntime::UnregisterObject(ObjectId oid) {
   if (objects_.erase(oid) == 0) {
     return Status(StatusCode::kNotFound, "oid not registered");
   }
+  std::lock_guard<std::mutex> hosted_lock(hosted_mu_);
+  std::erase(hosted_, oid);
   return Status::Ok();
 }
 
@@ -193,9 +197,10 @@ Status TangoRuntime::PlayUntil(LogOffset limit) {
   // Entries this call replays to reach the barrier = how far behind the
   // local views were (the playback-lag distribution).
   uint64_t played_here = 0;
-  Result<LogOffset> synced = store_.SyncAll(streams);
-  if (!synced.ok()) {
-    return synced.status();
+  if (std::any_of(streams.begin(), streams.end(), [&](StreamId s) {
+        return store_.SyncedTail(s) < limit;
+      })) {
+    TANGO_RETURN_IF_ERROR(store_.SyncAll(streams).status());
   }
 
   // Bring up the parallel apply engine lazily (playback_workers == 0 keeps
@@ -676,12 +681,25 @@ Status TangoRuntime::QueryHelper(ObjectId oid, std::optional<uint64_t> key) {
   // Linearizable accessor: place a marker at the current tail and play all
   // hosted streams up to it (§3.1, Consistency).
   obs::TraceScope span("runtime.query");
-  Result<LogOffset> tail = log_->CheckTail();
-  if (!tail.ok()) {
-    return tail.status();
+  std::unique_lock<std::mutex> lock;
+  TANGO_ASSIGN_OR_RETURN(LogOffset tail, Barrier(lock));
+  return PlayUntil(tail);
+}
+
+Result<LogOffset> TangoRuntime::Barrier(std::unique_lock<std::mutex>& lock) {
+  const std::vector<StreamId> streams = [this] {
+    std::lock_guard<std::mutex> hosted_lock(hosted_mu_);
+    return hosted_;
+  }();
+  // No brown-out here: a failed ask fails the accessor rather than letting
+  // it return a stale view as linearizable.
+  Result<corfu::SequencerTailInfo> info = log_->StreamTails(streams);
+  if (!info.ok()) {
+    return info.status();
   }
-  std::lock_guard<std::mutex> lock(playback_mu_);
-  return PlayUntil(*tail);
+  lock = std::unique_lock<std::mutex>(playback_mu_);
+  TANGO_RETURN_IF_ERROR(store_.Fold(streams, *info));
+  return info->tail;
 }
 
 Status TangoRuntime::SyncTo(LogOffset limit) {
@@ -760,12 +778,9 @@ Status TangoRuntime::EndTxImpl() {
   if (writes.empty()) {
     // Read-only transaction: no commit record; check the tail (one round
     // trip to the sequencer), play forward, validate locally (§3.2).
-    Result<LogOffset> tail = log_->CheckTail();
-    if (!tail.ok()) {
-      return tail.status();
-    }
-    std::lock_guard<std::mutex> lock(playback_mu_);
-    TANGO_RETURN_IF_ERROR(PlayUntil(*tail));
+    std::unique_lock<std::mutex> lock;
+    TANGO_ASSIGN_OR_RETURN(LogOffset tail, Barrier(lock));
+    TANGO_RETURN_IF_ERROR(PlayUntil(tail));
     return ValidateReads(reads)
                ? Status::Ok()
                : Status(StatusCode::kAborted, "read-only validation failed");
@@ -795,12 +810,10 @@ Status TangoRuntime::EndTxImpl() {
         in_hosted_stream = true;
       }
     }
-    if (!reads.empty()) {
-      for (const ReadDep& dep : reads) {
-        if (!objects_.contains(dep.oid)) {
-          return Status(StatusCode::kInvalidArgument,
-                        "transactional read of unhosted object");
-        }
+    for (const ReadDep& dep : reads) {
+      if (!objects_.contains(dep.oid)) {
+        return Status(StatusCode::kInvalidArgument,
+                      "transactional read of unhosted object");
       }
     }
   }
@@ -830,11 +843,14 @@ Status TangoRuntime::EndTxImpl() {
     //     hosts its own read set and never stalls on itself.
     uint64_t deadline_us =
         NowMicros() + 2000ull * options_.decision_timeout_ms;
-    LogOffset play_limit = *position + 1;
     bool inserted_manually = false;
-    while (true) {
-      std::unique_lock<std::mutex> lock(playback_mu_);
-      TANGO_RETURN_IF_ERROR(PlayUntil(play_limit));
+    for (bool first = true;; first = false) {
+      // The first round plays exactly to our commit; later ones follow the
+      // tail so that a blocking decision record gets played too.
+      std::unique_lock<std::mutex> lock;
+      TANGO_ASSIGN_OR_RETURN(LogOffset tail, Barrier(lock));
+      TANGO_RETURN_IF_ERROR(
+          PlayUntil(first ? *position + 1 : std::max(*position + 1, tail)));
       {
         std::lock_guard<std::mutex> decision_lock(decision_mu_);
         auto it = decided_.find(txid);
@@ -865,10 +881,6 @@ Status TangoRuntime::EndTxImpl() {
       // The blocking decision record is usually one append behind; poll
       // tightly so the pipeline restarts as soon as it lands.
       std::this_thread::sleep_for(std::chrono::microseconds(50));
-      Result<LogOffset> tail = log_->CheckTail();
-      if (tail.ok() && *tail > play_limit) {
-        play_limit = *tail;
-      }
     }
   }
 
@@ -900,14 +912,11 @@ Status TangoRuntime::EndTxStale() {
 // --- checkpoints & GC ---------------------------------------------------------------
 
 Result<LogOffset> TangoRuntime::WriteCheckpoint(ObjectId oid) {
-  Result<LogOffset> tail = log_->CheckTail();
-  if (!tail.ok()) {
-    return tail.status();
-  }
   std::vector<uint8_t> wrapped;
   LogOffset covered;
   {
-    std::lock_guard<std::mutex> lock(playback_mu_);
+    std::unique_lock<std::mutex> lock;
+    TANGO_ASSIGN_OR_RETURN(LogOffset tail, Barrier(lock));
     auto it = objects_.find(oid);
     if (it == objects_.end()) {
       return Status(StatusCode::kNotFound, "oid not registered");
@@ -916,7 +925,7 @@ Result<LogOffset> TangoRuntime::WriteCheckpoint(ObjectId oid) {
       return Status(StatusCode::kInvalidArgument,
                     "object does not support checkpoints");
     }
-    TANGO_RETURN_IF_ERROR(PlayUntil(*tail));
+    TANGO_RETURN_IF_ERROR(PlayUntil(tail));
     covered = it->second.last_consumed;
     wrapped = WrapCheckpoint(it->second.version, it->second.unkeyed_version,
                              it->second.key_versions,

@@ -11,7 +11,10 @@
 // Concurrency model: any number of application threads may call the helpers
 // concurrently.  Appends go straight to the log (CorfuClient is thread
 // safe); playback and the version tables are guarded by one playback mutex.
-// Transaction contexts live in thread-local storage, as in the paper.
+// A linearizable barrier sends its one sequencer tail query before taking
+// that mutex, so the mutex covers only local work and storage fetches, never
+// a sequencer round trip.  Transaction contexts live in thread-local
+// storage, as in the paper.
 //
 // Decision records (§4.1): a commit record whose read set includes objects
 // not hosted locally cannot be evaluated; the runtime stalls its apply
@@ -206,10 +209,16 @@ class TangoRuntime {
 
   TxContext& Tls() const;
 
+  // The linearizable barrier (§3.1): asks for the tail and the hosted
+  // streams' last offsets without playback_mu_, then takes it into `lock`
+  // and folds the answer in.  Returns the tail, for the caller to play to.
+  Result<corfu::LogOffset> Barrier(std::unique_lock<std::mutex>& lock);
+
   // --- playback core (playback_mu_ held by the dispatcher) -----------------
   // `fresh` lists the hosted objects whose stream cursor sat exactly at this
   // entry — only those views may apply its effects (an object registered
   // late replays old log positions that other objects already consumed).
+  // Syncs only if some hosted stream's list ends below `limit`.
   Status PlayUntil(corfu::LogOffset limit);
   Status ProcessRecord(corfu::LogOffset offset, const Record& record,
                        const std::vector<ObjectId>& fresh);
@@ -266,6 +275,10 @@ class TangoRuntime {
   mutable std::mutex playback_mu_;
   corfu::StreamStore store_;
   std::unordered_map<ObjectId, ObjectState> objects_;
+  // The keys of objects_, readable by Barrier without playback_mu_; a leaf
+  // lock, taken after playback_mu_ when both are held.
+  std::mutex hosted_mu_;
+  std::vector<corfu::StreamId> hosted_;
 
   // Decision machinery.  `decided_` and `awaited_decisions_` are read and
   // written by parallel apply workers (ApplyCommit) as well as the

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "src/objects/tango_bookkeeper.h"
 #include "tests/test_env.h"
 
@@ -57,6 +60,46 @@ TEST_F(BkTest, ReadsVisibleAtOtherClient) {
   auto read = reader.ReadEntry(handle->id, 0);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "replicated");
+}
+
+// A replica whose ledger creates apply slowly, so a parallel playback that
+// does not order an add after its ledger's create runs the add first.
+class SlowCreateBk : public TangoBk {
+ public:
+  using TangoBk::TangoBk;
+  void Apply(std::span<const uint8_t> update,
+             corfu::LogOffset offset) override {
+    if (!update.empty() && update[0] == 1) {  // TangoBk::kCreateLedger
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    TangoBk::Apply(update, offset);
+  }
+};
+
+TEST_F(BkTest, ParallelReplayMatchesSequential) {
+  // A ledger's create and its adds share one playback window in a fresh
+  // view.  Parallel playback must apply the create first, as the sequential
+  // reference does, or the view drops the adds for good.
+  auto handle = bk_.CreateLedger();
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(bk_.AddEntry(*handle, "e0").ok());
+  ASSERT_TRUE(bk_.AddEntry(*handle, "e1").ok());
+  for (int round = 0; round < 200; ++round) {
+    std::vector<uint8_t> ledgers[2];
+    for (int workers : {4, 0}) {
+      auto client = MakeClient();
+      TangoRuntime::Options options;
+      options.playback_workers = workers;
+      TangoRuntime runtime(client.get(), options);
+      SlowCreateBk replica(&runtime, 1);
+      auto count = replica.EntryCount(handle->id);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      ASSERT_EQ(*count, 2u) << "round " << round << ", " << workers
+                            << " workers";
+      ledgers[workers == 0] = replica.Checkpoint();
+    }
+    ASSERT_EQ(ledgers[0], ledgers[1]) << "round " << round;
+  }
 }
 
 TEST_F(BkTest, MissingLedgerAndEntry) {

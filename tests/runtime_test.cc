@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "src/corfu/types.h"
+#include "src/net/transport.h"
 #include "src/objects/tango_counter.h"
 #include "src/objects/tango_map.h"
 #include "src/objects/tango_register.h"
@@ -13,6 +19,37 @@ namespace {
 using tango_test::Bytes;
 using tango_test::ClusterFixture;
 
+// Forwards to the cluster's transport and counts sequencer tail queries.
+// With `fail_stream_tails` set, tail queries that carry streams (the ones a
+// stream sync sends) time out while bare tail checks still succeed.
+class TailTransport : public Transport {
+ public:
+  explicit TailTransport(Transport* inner) : inner_(inner) {}
+
+  Status Call(NodeId dest, uint16_t method, std::span<const uint8_t> request,
+              std::vector<uint8_t>* response) override {
+    if (method == corfu::kSequencerTail) {
+      tail_calls.fetch_add(1);
+      ByteReader r(request);
+      r.GetU32();  // epoch
+      if (r.GetU16() > 0 && fail_stream_tails.load()) {
+        return Status(StatusCode::kTimeout, "injected stream-tail timeout");
+      }
+    }
+    return inner_->Call(dest, method, request, response);
+  }
+  void RegisterNode(NodeId node, RpcHandler handler) override {
+    inner_->RegisterNode(node, std::move(handler));
+  }
+  void UnregisterNode(NodeId node) override { inner_->UnregisterNode(node); }
+
+  std::atomic<uint64_t> tail_calls{0};
+  std::atomic<bool> fail_stream_tails{false};
+
+ private:
+  Transport* inner_;
+};
+
 class RuntimeTest : public ClusterFixture {
  protected:
   RuntimeTest()
@@ -21,11 +58,113 @@ class RuntimeTest : public ClusterFixture {
         rt_a_(client_a_.get()),
         rt_b_(client_b_.get()) {}
 
+  // A client whose RPCs cross `transport` instead of the cluster's own.
+  std::unique_ptr<corfu::CorfuClient> ClientOver(Transport* transport) {
+    corfu::CorfuClient::Options options;
+    options.hole_timeout_ms = 5;
+    options.max_epoch_retries = 2;
+    return std::make_unique<corfu::CorfuClient>(
+        transport, cluster_->options().projection_store_node, options);
+  }
+
   std::unique_ptr<corfu::CorfuClient> client_a_;
   std::unique_ptr<corfu::CorfuClient> client_b_;
   TangoRuntime rt_a_;
   TangoRuntime rt_b_;
 };
+
+TEST_F(RuntimeTest, FailedStreamSyncFailsReadInsteadOfServingStaleValue) {
+  // The sequencer answers the bare tail check but times out the stream sync:
+  // a read must fail, never return the old value as linearizable.
+  TailTransport tails(&transport_);
+  std::unique_ptr<corfu::CorfuClient> client = ClientOver(&tails);
+  TangoRuntime rt(client.get());
+  TangoRegister reader(&rt, 1);
+  TangoRegister writer(&rt_a_, 1);
+  ASSERT_TRUE(writer.Write(1).ok());
+  auto first = reader.Read();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 1);
+
+  ASSERT_TRUE(writer.Write(2).ok());
+  tails.fail_stream_tails = true;
+  auto stale = reader.Read();
+  EXPECT_FALSE(stale.ok()) << "stale read reported as linearizable: "
+                           << (stale.ok() ? *stale : 0);
+  EXPECT_EQ(stale.status().code(), StatusCode::kTimeout);
+
+  tails.fail_stream_tails = false;
+  auto fresh = reader.Read();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*fresh, 2);
+}
+
+TEST_F(RuntimeTest, ReadCostsOneTailQuery) {
+  // One stream-carrying tail query per linearizable read, and no second
+  // sync round trip inside playback once the barrier has folded it in.
+  TailTransport tails(&transport_);
+  std::unique_ptr<corfu::CorfuClient> client = ClientOver(&tails);
+  TangoRuntime rt(client.get());
+  TangoRegister reader(&rt, 1);
+  TangoRegister writer(&rt_a_, 1);
+  for (int64_t v = 1; v <= 20; ++v) {
+    ASSERT_TRUE(writer.Write(v).ok());
+    uint64_t before = tails.tail_calls.load();
+    auto read = reader.Read();
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(*read, v);
+    EXPECT_EQ(tails.tail_calls.load() - before, 1u) << "read " << v;
+  }
+}
+
+TEST_F(RuntimeTest, ConcurrentReadersOnOneViewSeeAcknowledgedWrites) {
+  // 4 readers and 1 writer share one view.  Every read returns a value at
+  // least as new as the last write acknowledged before the read began.
+  constexpr int64_t kWrites = 300;
+  TangoRegister reg(&rt_a_, 1);
+  std::atomic<int64_t> acked{0};
+  std::atomic<bool> writing{true};
+  std::atomic<int> failures{0};
+  std::atomic<int> stale{0};
+  std::atomic<int> reads{0};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      ++started;
+      while (writing.load()) {
+        int64_t floor = acked.load();
+        Result<int64_t> value = reg.Read();
+        if (!value.ok()) {
+          ++failures;
+        } else if (*value < floor) {
+          ++stale;
+        }
+        ++reads;
+      }
+    });
+  }
+  while (started.load() < 4) {
+    std::this_thread::yield();
+  }
+  for (int64_t v = 1; v <= kWrites; ++v) {
+    if (!reg.Write(v).ok()) {
+      ++failures;
+      break;
+    }
+    acked.store(v);
+  }
+  writing = false;
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  auto last = reg.Read();
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, kWrites);
+}
 
 TEST_F(RuntimeTest, RegisterWriteRead) {
   TangoRegister reg(&rt_a_, 1);

@@ -239,6 +239,24 @@ TEST_F(StreamTest, SyncAllCoversManyStreams) {
   }
 }
 
+TEST_F(StreamTest, FoldIsMonotoneUnderReorderedAnswers) {
+  // Two concurrent barriers may fold their answers in either order; the
+  // older one must neither shrink the synced tail nor rediscover offsets.
+  store_.Open(1);
+  ASSERT_TRUE(store_.Append(1, Bytes("a")).ok());
+  auto older = client_->StreamTails({1});
+  ASSERT_TRUE(older.ok());
+  ASSERT_TRUE(store_.Append(1, Bytes("b")).ok());
+  auto newer = client_->StreamTails({1});
+  ASSERT_TRUE(newer.ok());
+  ASSERT_LT(older->tail, newer->tail);
+
+  ASSERT_TRUE(store_.Fold({1}, *newer).ok());
+  ASSERT_TRUE(store_.Fold({1}, *older).ok());
+  EXPECT_EQ(store_.SyncedTail(1), newer->tail);
+  EXPECT_EQ(store_.KnownOffsets(1), (std::vector<LogOffset>{0, 1}));
+}
+
 TEST_F(StreamTest, AbsoluteBackpointerFormatOverLiveStream) {
   // §5: when a stream's previous entry is more than 64K offsets back, the
   // 2-byte relative deltas overflow and the header switches to the absolute
