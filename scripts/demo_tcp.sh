@@ -10,7 +10,15 @@ CLI="${2:?usage: demo_tcp.sh <tango_logd> <tango_cli> [base_port]}"
 PORT="${3:-$(( (RANDOM % 2000) + 21000 ))}"
 FLAGS="--base-port=${PORT} --nodes=4 --repl=2"
 
-fail() { echo "FAIL: $*" >&2; kill "${DAEMON_PID}" 2>/dev/null; exit 1; }
+fail() { echo "FAIL: $*" >&2; kill "${DAEMON_PID:-}" 2>/dev/null; exit 1; }
+
+# Bad flags exit 2 with a usage line instead of starting a misconfigured
+# daemon (an ignored --journal-dir would silently mean an in-memory log).
+for BAD in --journal-dir=x --nodes=four; do
+  timeout 10 "${LOGD}" ${FLAGS} "${BAD}" >/dev/null 2>&1
+  RC=$?
+  [ "${RC}" -eq 2 ] || fail "tango_logd ${BAD} exited ${RC}, want 2"
+done
 
 "${LOGD}" ${FLAGS} &
 DAEMON_PID=$!

@@ -61,17 +61,8 @@ StorageNode::Options CorfuCluster::NodeStorageOptions(tango::NodeId node) const 
   if (!options_.data_dir.empty()) {
     storage_options.data_dir =
         options_.data_dir + "/node-" + std::to_string(node);
-  } else if (!options_.journal_dir.empty()) {
-    storage_options.journal_path =
-        options_.journal_dir + "/node-" + std::to_string(node) + ".journal";
   }
   return storage_options;
-}
-
-void CorfuCluster::SpawnStorageNode(tango::NodeId node) {
-  std::lock_guard<std::mutex> lock(spawn_mu_);
-  storage_nodes_.push_back(std::make_unique<StorageNode>(
-      transport_, node, NodeStorageOptions(node)));
 }
 
 tango::NodeId CorfuCluster::SpawnSpareStorageNode() {

@@ -33,13 +33,10 @@ class CorfuCluster {
     uint32_t page_size = 4096;
     uint32_t backpointer_count = kDefaultBackpointerCount;
     StorageNode::Options storage;
-    // When non-empty, each storage node journals to
-    // <journal_dir>/node-<id>.journal and reloads it on construction, so the
-    // whole log survives a full cluster restart.
-    std::string journal_dir;
     // When non-empty, each storage node runs on the durable segment store
-    // rooted at <data_dir>/node-<id> (and journal_dir is ignored).  Tuning
-    // knobs (fsync_batch, segment_bytes, ...) come from `storage`.
+    // rooted at <data_dir>/node-<id>, so the whole log survives a full
+    // cluster restart.  Tuning knobs (fsync_batch, segment_bytes, ...) come
+    // from `storage`.
     std::string data_dir;
     // Node-id layout (storage nodes occupy [base, base+n)).
     tango::NodeId storage_base = 100;
@@ -62,11 +59,6 @@ class CorfuCluster {
   // Simulates a sequencer crash (drops its RPC registration) and installs a
   // replacement at a fresh node id via reconfiguration, driven by `client`.
   tango::Status ReplaceSequencer(CorfuClient* client);
-
-  // Spawns an empty storage node at `node` (for ReplaceStorageNode tests and
-  // capacity expansion).  The node serves RPCs but carries no data until a
-  // reconfiguration copies a chain onto it.
-  void SpawnStorageNode(tango::NodeId node);
 
   // Spawns an empty storage node at a fresh id (storage_base + 10000 up) and
   // returns it — the cluster-side SpareProvider for HealthMonitor.
@@ -96,8 +88,8 @@ class CorfuCluster {
   const Options& options() const { return options_; }
 
  private:
-  // Per-node storage options: shared tuning plus the node's journal path or
-  // segment-store directory.
+  // Per-node storage options: shared tuning plus the node's segment-store
+  // directory.
   StorageNode::Options NodeStorageOptions(tango::NodeId node) const;
 
   tango::Transport* transport_;

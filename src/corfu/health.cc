@@ -14,13 +14,10 @@
 #include "src/corfu/sequencer.h"
 #include "src/obs/flight.h"
 #include "src/util/logging.h"
-#include "src/util/serialize.h"
 #include "src/util/threading.h"
 
 namespace corfu {
 
-using tango::ByteReader;
-using tango::ByteWriter;
 using tango::NodeId;
 using tango::Result;
 using tango::Status;
@@ -129,13 +126,6 @@ void HealthMonitor::NoteRecoveryStart() {
                                              std::memory_order_relaxed);
 }
 
-Status HealthMonitor::ProbeStorage(NodeId node, Epoch epoch) {
-  ByteWriter w(4);
-  w.PutU32(epoch);
-  std::vector<uint8_t> resp;
-  return transport_->Call(node, kStorageLocalTail, w.bytes(), &resp);
-}
-
 Status HealthMonitor::RunOnce() {
   std::lock_guard<std::mutex> run_lock(run_mu_);
   std::optional<tango::ScopedNetworkIdentity> identity;
@@ -190,7 +180,8 @@ Status HealthMonitor::RunOnce() {
   for (const std::vector<NodeId>& chain : p.replica_sets) {
     for (NodeId node : chain) {
       heartbeats_->Add();
-      Probe probe = Classify(ProbeStorage(node, p.epoch));
+      Probe probe =
+          Classify(StorageLocalTail(transport_, node, p.epoch).status());
       switch (probe) {
         case Probe::kHealthy:
           break;
@@ -327,12 +318,17 @@ Status HealthMonitor::DegradeChain(NodeId dead) {
   if (set_index == current.replica_sets.size()) {
     return Status::Ok();  // already reconfigured away by a peer
   }
-  if (current.replica_sets[set_index].size() <= 1) {
-    // Last replica of its extent: excising it would lose data.  Keep
-    // probing — if the node comes back, the chain heals; an operator can
-    // also repair from a journal.
+  // Never excise the last live replica of an extent: that would lose data.
+  // A member that missed this round's probe does not count as live — its
+  // seal below would fail after the chains before it were already sealed
+  // above the installed projection.  Keep probing instead; once a replica
+  // answers again, the chain degrades onto it and heals.
+  const std::vector<NodeId>& chain = current.replica_sets[set_index];
+  if (std::none_of(chain.begin(), chain.end(), [&](NodeId node) {
+        return node != dead && !misses_by_node_.contains(node);
+      })) {
     return Status(StatusCode::kFailedPrecondition,
-                  "sole surviving replica is unreachable; cannot degrade");
+                  "no live replica would remain; cannot degrade");
   }
 
   Projection next = current;
@@ -346,23 +342,10 @@ Status HealthMonitor::DegradeChain(NodeId dead) {
   // Seal the survivors (all chains — the epoch is global) at the new epoch,
   // collecting the sealed tail.  kSealedEpoch from any node means a peer
   // monitor won the race to e+1; adopt its view instead.
-  LogOffset tail = 0;
-  for (size_t s = 0; s < next.replica_sets.size(); ++s) {
-    for (NodeId node : next.replica_sets[s]) {
-      ByteWriter w(4);
-      w.PutU32(next.epoch);
-      std::vector<uint8_t> resp;
-      Status sealed = transport_->Call(node, kStorageSeal, w.bytes(), &resp);
-      if (!sealed.ok()) {
-        (void)client_->RefreshProjection();
-        return sealed;
-      }
-      ByteReader r(resp);
-      LogOffset local_tail = r.GetU64();
-      if (local_tail > 0) {
-        tail = std::max(tail, next.GlobalOffsetFor(s, local_tail - 1) + 1);
-      }
-    }
+  Result<SealedTails> tails = SealAll(transport_, next);
+  if (!tails.ok()) {
+    (void)client_->RefreshProjection();
+    return tails.status();
   }
 
   Status proposed =
@@ -379,8 +362,8 @@ Status HealthMonitor::DegradeChain(NodeId dead) {
   // The sequencer keeps its soft state across a storage swap; it only needs
   // the new epoch and the sealed tail.  If it is dead too, the next round's
   // probe escalates to a sequencer failover, which re-bootstraps anyway.
-  Status boot =
-      SequencerBootstrap(transport_, next.sequencer, next.epoch, tail, {});
+  Status boot = SequencerBootstrap(transport_, next.sequencer, next.epoch,
+                                   tails->global_tail, {});
   (void)client_->RefreshProjection();
   return boot;
 }
@@ -388,26 +371,16 @@ Status HealthMonitor::DegradeChain(NodeId dead) {
 Status HealthMonitor::CopyLocalRange(NodeId source, NodeId dest, Epoch epoch,
                                      LogOffset from, LogOffset to) {
   for (LogOffset local = from; local < to; ++local) {
-    ByteWriter read_req(12);
-    read_req.PutU32(epoch);
-    read_req.PutU64(local);
-    std::vector<uint8_t> page_resp;
-    Status read =
-        transport_->Call(source, kStorageRead, read_req.bytes(), &page_resp);
-    if (read == StatusCode::kUnwritten || read == StatusCode::kTrimmed) {
+    Result<std::vector<uint8_t>> page =
+        StorageRead(transport_, source, epoch, local);
+    if (page.status() == StatusCode::kUnwritten ||
+        page.status() == StatusCode::kTrimmed) {
       continue;  // holes stay holes; trimmed pages stay reclaimed
     }
-    if (!read.ok()) {
-      return read;
+    if (!page.ok()) {
+      return page.status();
     }
-    ByteReader page_reader(page_resp);
-    std::vector<uint8_t> page = page_reader.GetBlob();
-    ByteWriter write_req(16 + page.size());
-    write_req.PutU32(epoch);
-    write_req.PutU64(local);
-    write_req.PutBlob(page);
-    Status written =
-        transport_->Call(dest, kStorageWrite, write_req.bytes(), nullptr);
+    Status written = StorageWrite(transport_, dest, epoch, local, *page);
     // kWritten means a previous (partial) copy already placed this page.
     if (!written.ok() && written != StatusCode::kWritten) {
       return written;
@@ -441,22 +414,18 @@ Status HealthMonitor::RepairChain(size_t set_index) {
   // epoch, with foreground traffic still flowing.  The head holds a superset
   // of every replica below it, so it is the source.
   NodeId source = chain[0];
-  ByteWriter tail_req(4);
-  tail_req.PutU32(current.epoch);
-  std::vector<uint8_t> tail_resp;
-  Status tail_st =
-      transport_->Call(source, kStorageLocalTail, tail_req.bytes(), &tail_resp);
-  if (!tail_st.ok()) {
+  Result<LogOffset> watermark =
+      StorageLocalTail(transport_, source, current.epoch);
+  if (!watermark.ok()) {
     (void)client_->RefreshProjection();
-    return tail_st;
+    return watermark.status();
   }
-  ByteReader tail_reader(tail_resp);
-  LogOffset watermark = tail_reader.GetU64();
   TANGO_LOG(kInfo)
       << "health: repairing set " << set_index << " onto spare " << spare
-      << " (warm copy of " << watermark << " pages from node " << source << ")";
+      << " (warm copy of " << *watermark << " pages from node " << source
+      << ")";
   TANGO_RETURN_IF_ERROR(
-      CopyLocalRange(source, spare, current.epoch, 0, watermark));
+      CopyLocalRange(source, spare, current.epoch, 0, *watermark));
 
   // Seal at e+1 — freezing writers — and catch up the pages that landed
   // during the warm copy, then propose the repaired chain (spare at the
@@ -465,30 +434,14 @@ Status HealthMonitor::RepairChain(size_t set_index) {
   Projection next = current;
   next.epoch = current.epoch + 1;
   next.replica_sets[set_index].push_back(spare);
-  LogOffset tail = 0;
-  LogOffset source_tail = watermark;
-  for (size_t s = 0; s < next.replica_sets.size(); ++s) {
-    for (NodeId node : next.replica_sets[s]) {
-      ByteWriter w(4);
-      w.PutU32(next.epoch);
-      std::vector<uint8_t> resp;
-      Status sealed = transport_->Call(node, kStorageSeal, w.bytes(), &resp);
-      if (!sealed.ok()) {
-        (void)client_->RefreshProjection();
-        return sealed;
-      }
-      ByteReader r(resp);
-      LogOffset local_tail = r.GetU64();
-      if (node == source) {
-        source_tail = local_tail;
-      }
-      if (local_tail > 0) {
-        tail = std::max(tail, next.GlobalOffsetFor(s, local_tail - 1) + 1);
-      }
-    }
+  Result<SealedTails> tails = SealAll(transport_, next);
+  if (!tails.ok()) {
+    (void)client_->RefreshProjection();
+    return tails.status();
   }
-  TANGO_RETURN_IF_ERROR(
-      CopyLocalRange(source, spare, next.epoch, watermark, source_tail));
+  // The source still heads the chain; the spare was appended at its tail.
+  TANGO_RETURN_IF_ERROR(CopyLocalRange(source, spare, next.epoch, *watermark,
+                                       tails->local[set_index][0]));
 
   Status proposed =
       ProposeProjection(transport_, client_->projection_store(), next);
@@ -507,8 +460,8 @@ Status HealthMonitor::RepairChain(size_t set_index) {
       << "health: set " << set_index << " repaired with spare " << spare
       << " at epoch " << next.epoch;
 
-  Status boot =
-      SequencerBootstrap(transport_, next.sequencer, next.epoch, tail, {});
+  Status boot = SequencerBootstrap(transport_, next.sequencer, next.epoch,
+                                   tails->global_tail, {});
   (void)client_->RefreshProjection();
   return boot;
 }

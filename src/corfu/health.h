@@ -119,7 +119,6 @@ class HealthMonitor {
   // (e.g. its bootstrap was lost to a monitor crash mid-reconfiguration).
   tango::Status ResyncSequencer();
 
-  tango::Status ProbeStorage(tango::NodeId node, Epoch epoch);
   tango::Status CopyLocalRange(tango::NodeId source, tango::NodeId dest,
                                Epoch epoch, LogOffset from, LogOffset to);
 

@@ -22,8 +22,6 @@ using tango::Result;
 using tango::Status;
 using tango::StatusCode;
 
-namespace {
-
 Status StorageWrite(tango::Transport* t, NodeId node, Epoch epoch,
                     LogOffset local, const std::vector<uint8_t>& bytes) {
   ByteWriter w(16 + bytes.size());
@@ -51,7 +49,15 @@ Result<std::vector<uint8_t>> StorageRead(tango::Transport* t, NodeId node,
   return page;
 }
 
-}  // namespace
+Result<LogOffset> StorageLocalTail(tango::Transport* t, NodeId node,
+                                   Epoch epoch) {
+  ByteWriter w(4);
+  w.PutU32(epoch);
+  std::vector<uint8_t> resp;
+  TANGO_RETURN_IF_ERROR(t->Call(node, kStorageLocalTail, w.bytes(), &resp));
+  ByteReader r(resp);
+  return r.GetU64();
+}
 
 namespace {
 
@@ -479,19 +485,13 @@ Result<LogOffset> CorfuClient::CheckTailSlow() {
   Projection p = Snapshot();
   LogOffset tail = 0;
   for (size_t set = 0; set < p.replica_sets.size(); ++set) {
-    const std::vector<NodeId>& chain = p.replica_sets[set];
-    ByteWriter w(4);
-    w.PutU32(p.epoch);
-    std::vector<uint8_t> resp;
-    Status st =
-        transport_->Call(chain.back(), kStorageLocalTail, w.bytes(), &resp);
-    if (!st.ok()) {
-      return st;
+    Result<LogOffset> local_tail =
+        StorageLocalTail(transport_, p.replica_sets[set].back(), p.epoch);
+    if (!local_tail.ok()) {
+      return local_tail.status();
     }
-    ByteReader r(resp);
-    LogOffset local_tail = r.GetU64();
-    if (local_tail > 0) {
-      tail = std::max(tail, p.GlobalOffsetFor(set, local_tail - 1) + 1);
+    if (*local_tail > 0) {
+      tail = std::max(tail, p.GlobalOffsetFor(set, *local_tail - 1) + 1);
     }
   }
   return tail;
@@ -621,6 +621,29 @@ Result<LogOffset> CorfuClient::WriteSequencerCheckpoint() {
   return AppendToStreams(w.bytes(), {kSequencerStateStream});
 }
 
+Result<SealedTails> SealAll(tango::Transport* transport,
+                            const Projection& next) {
+  SealedTails tails;
+  tails.local.resize(next.replica_sets.size());
+  ByteWriter w(4);
+  w.PutU32(next.epoch);
+  for (size_t set = 0; set < next.replica_sets.size(); ++set) {
+    for (tango::NodeId node : next.replica_sets[set]) {
+      std::vector<uint8_t> resp;
+      TANGO_RETURN_IF_ERROR(
+          transport->Call(node, kStorageSeal, w.bytes(), &resp));
+      ByteReader r(resp);
+      LogOffset local_tail = r.GetU64();
+      tails.local[set].push_back(local_tail);
+      if (local_tail > 0) {
+        tails.global_tail = std::max(
+            tails.global_tail, next.GlobalOffsetFor(set, local_tail - 1) + 1);
+      }
+    }
+  }
+  return tails;
+}
+
 Status Reconfigure(CorfuClient* client,
                    const std::function<void(Projection&)>& mutate,
                    uint64_t rebuild_scan_limit) {
@@ -663,23 +686,9 @@ Status Reconfigure(CorfuClient* client,
   }
 
   // Seal every storage node at the new epoch, collecting tails.
-  LogOffset tail = 0;
-  for (size_t set = 0; set < next.replica_sets.size(); ++set) {
-    for (tango::NodeId node : next.replica_sets[set]) {
-      ByteWriter w(4);
-      w.PutU32(next.epoch);
-      std::vector<uint8_t> resp;
-      Status st =
-          client->transport()->Call(node, kStorageSeal, w.bytes(), &resp);
-      if (!st.ok()) {
-        return st;
-      }
-      ByteReader r(resp);
-      LogOffset local_tail = r.GetU64();
-      if (local_tail > 0) {
-        tail = std::max(tail, next.GlobalOffsetFor(set, local_tail - 1) + 1);
-      }
-    }
+  Result<SealedTails> tails = SealAll(client->transport(), next);
+  if (!tails.ok()) {
+    return tails.status();
   }
 
   // Install the new projection; if we lose the race, adopt the winner and
@@ -704,110 +713,7 @@ Status Reconfigure(CorfuClient* client,
   // Bring the (possibly new) sequencer up to speed: sealed tail plus the
   // backpointer state recovered from the log.
   return SequencerBootstrap(client->transport(), next.sequencer, next.epoch,
-                            tail, *state);
-}
-
-Status ReplaceStorageNode(CorfuClient* client, tango::NodeId failed,
-                          tango::NodeId replacement) {
-  Projection current = client->projection();
-  size_t set_index = current.replica_sets.size();
-  size_t chain_pos = 0;
-  for (size_t s = 0; s < current.replica_sets.size(); ++s) {
-    for (size_t r = 0; r < current.replica_sets[s].size(); ++r) {
-      if (current.replica_sets[s][r] == failed) {
-        set_index = s;
-        chain_pos = r;
-      }
-    }
-  }
-  if (set_index == current.replica_sets.size()) {
-    return Status(StatusCode::kNotFound, "node not in any chain");
-  }
-
-  // Copy the chain's surviving pages onto the replacement.  Prefer the head
-  // as the source: it holds a superset of every replica below it.
-  tango::NodeId source = tango::kInvalidNodeId;
-  for (tango::NodeId node : current.replica_sets[set_index]) {
-    if (node != failed) {
-      source = node;
-      break;
-    }
-  }
-  if (source == tango::kInvalidNodeId) {
-    return Status(StatusCode::kFailedPrecondition, "no surviving replica");
-  }
-
-  ByteWriter tail_req(4);
-  tail_req.PutU32(current.epoch);
-  std::vector<uint8_t> tail_resp;
-  TANGO_RETURN_IF_ERROR(client->transport()->Call(source, kStorageLocalTail,
-                                                  tail_req.bytes(),
-                                                  &tail_resp));
-  ByteReader tail_reader(tail_resp);
-  LogOffset local_tail = tail_reader.GetU64();
-
-  for (LogOffset local = 0; local < local_tail; ++local) {
-    ByteWriter read_req(12);
-    read_req.PutU32(current.epoch);
-    read_req.PutU64(local);
-    std::vector<uint8_t> page_resp;
-    Status read = client->transport()->Call(source, kStorageRead,
-                                            read_req.bytes(), &page_resp);
-    if (read == StatusCode::kUnwritten || read == StatusCode::kTrimmed) {
-      continue;  // holes stay holes; trimmed pages stay reclaimed
-    }
-    if (!read.ok()) {
-      return read;
-    }
-    ByteReader page_reader(page_resp);
-    std::vector<uint8_t> page = page_reader.GetBlob();
-    ByteWriter write_req(16 + page.size());
-    write_req.PutU32(current.epoch);
-    write_req.PutU64(local);
-    write_req.PutBlob(page);
-    Status written = client->transport()->Call(replacement, kStorageWrite,
-                                               write_req.bytes(), nullptr);
-    if (!written.ok() && written != StatusCode::kWritten) {
-      return written;
-    }
-  }
-
-  // Swap the nodes, seal the new membership at epoch+1, and propose.  The
-  // failed node is not sealed (it is presumed dead); the fencing that
-  // matters is on the survivors and the replacement.
-  Projection next = current;
-  next.epoch = current.epoch + 1;
-  next.replica_sets[set_index][chain_pos] = replacement;
-  LogOffset tail = 0;
-  for (size_t s = 0; s < next.replica_sets.size(); ++s) {
-    for (tango::NodeId node : next.replica_sets[s]) {
-      ByteWriter seal_req(4);
-      seal_req.PutU32(next.epoch);
-      std::vector<uint8_t> seal_resp;
-      Status sealed =
-          client->transport()->Call(node, kStorageSeal, seal_req.bytes(),
-                                    &seal_resp);
-      if (!sealed.ok()) {
-        return sealed;
-      }
-      ByteReader seal_reader(seal_resp);
-      LogOffset node_tail = seal_reader.GetU64();
-      if (node_tail > 0) {
-        tail = std::max(tail, next.GlobalOffsetFor(s, node_tail - 1) + 1);
-      }
-    }
-  }
-
-  Status proposed =
-      ProposeProjection(client->transport(), client->projection_store(), next);
-  if (!proposed.ok()) {
-    (void)client->RefreshProjection();
-    return proposed;
-  }
-  // The sequencer keeps its soft state; it only needs the new epoch.
-  TANGO_RETURN_IF_ERROR(SequencerBootstrap(client->transport(), next.sequencer,
-                                           next.epoch, tail, {}));
-  return client->RefreshProjection();
+                            tails->global_tail, *state);
 }
 
 }  // namespace corfu

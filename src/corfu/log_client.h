@@ -213,6 +213,32 @@ class CorfuClient {
   std::unique_ptr<AppendPipeline> pipeline_;
 };
 
+// Storage-node RPC stubs (StorageNode's kStorageWrite, kStorageRead and
+// kStorageLocalTail), shared by chain replication and chain repair.
+tango::Status StorageWrite(tango::Transport* t, tango::NodeId node,
+                           Epoch epoch, LogOffset local,
+                           const std::vector<uint8_t>& bytes);
+tango::Result<std::vector<uint8_t>> StorageRead(tango::Transport* t,
+                                                tango::NodeId node,
+                                                Epoch epoch, LogOffset local);
+tango::Result<LogOffset> StorageLocalTail(tango::Transport* t,
+                                          tango::NodeId node, Epoch epoch);
+
+// The tails collected by one seal round (SealAll).
+struct SealedTails {
+  // One past the highest global offset written on any sealed node.
+  LogOffset global_tail = 0;
+  // local[s][r] is the local tail of next.replica_sets[s][r].
+  std::vector<std::vector<LogOffset>> local;
+};
+
+// The seal round every reconfiguration runs (§5, Failure Handling): seals
+// each storage node in `next` at next.epoch and collects the tails.  Stops at
+// the first node that fails to seal; kSealedEpoch there means a concurrent
+// reconfiguration already claimed the epoch.
+tango::Result<SealedTails> SealAll(tango::Transport* transport,
+                                   const Projection& next);
+
 // Reconfiguration (§5, Failure Handling): seals the cluster at epoch+1,
 // applies `mutate` to a copy of `client`'s projection (e.g. replacing the
 // sequencer), proposes it, and bootstraps the new sequencer with the sealed
@@ -222,14 +248,6 @@ class CorfuClient {
 tango::Status Reconfigure(CorfuClient* client,
                           const std::function<void(Projection&)>& mutate,
                           uint64_t rebuild_scan_limit = 65536);
-
-// Replaces a failed storage node with `replacement` (baseline CORFU's
-// reconfiguration for storage failures, which Tango inherits): copies every
-// surviving page of the failed node's chain from a healthy replica onto the
-// replacement, then reconfigures the projection to swap the nodes.  The
-// replacement must already be registered on the transport and empty.
-tango::Status ReplaceStorageNode(CorfuClient* client, tango::NodeId failed,
-                                 tango::NodeId replacement);
 
 }  // namespace corfu
 

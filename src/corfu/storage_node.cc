@@ -1,11 +1,7 @@
 #include "src/corfu/storage_node.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "src/obs/flight.h"
@@ -37,7 +33,6 @@ StorageNode::StorageNode(tango::Transport* transport, NodeId node,
   reads_trimmed_ = reg.GetCounter("storage.read.trimmed");
   seals_ = reg.GetCounter("storage.seals");
   trims_ = reg.GetCounter("storage.trims");
-  journal_errors_ = reg.GetCounter("storage.journal.errors");
   batch_size_ = reg.GetHistogram("storage.read_batch.size");
   write_shed_ = reg.GetCounter("overload.storage.shed");
   inflight_writes_gauge_ = reg.GetGauge("overload.storage.inflight_writes");
@@ -84,128 +79,13 @@ StorageNode::StorageNode(tango::Transport* transport, NodeId node,
                             << options_.data_dir << ": "
                             << store.status().ToString();
     backend_ = std::move(*store);
-    if (!options_.journal_path.empty()) {
-      TANGO_LOG(kWarning) << "node " << node_
-                          << ": journal_path ignored — the segment store is "
-                             "its own journal";
-    }
   } else {
     backend_ = std::make_unique<MemoryBackend>();
-    if (!options_.journal_path.empty()) {
-      JournalReplay();
-      journal_ = std::fopen(options_.journal_path.c_str(), "ab");
-      if (journal_ == nullptr) {
-        // A node that silently loses its journal looks healthy until the
-        // restart that needs it.  Count it and say so.
-        journal_errors_->Add();
-        TANGO_LOG(kWarning) << "node " << node_ << ": cannot open journal "
-                            << options_.journal_path << " ("
-                            << std::strerror(errno)
-                            << "); persistence disabled for this run";
-      }
-    }
   }
   transport_->RegisterNode(node_, dispatcher_.AsHandler());
 }
 
-StorageNode::~StorageNode() {
-  transport_->UnregisterNode(node_);
-  if (journal_ != nullptr) {
-    std::fclose(journal_);
-  }
-}
-
-std::unique_lock<std::mutex> StorageNode::JournalLock() {
-  if (journal_ == nullptr) {
-    return std::unique_lock<std::mutex>();
-  }
-  return std::unique_lock<std::mutex>(journal_mu_);
-}
-
-bool StorageNode::JournalAppend(JournalOp op, Epoch epoch, LogOffset local,
-                                const std::vector<uint8_t>* bytes) {
-  if (journal_ == nullptr) {
-    return true;
-  }
-  tango::ByteWriter w(32 + (bytes != nullptr ? bytes->size() : 0));
-  w.PutU8(op);
-  w.PutU32(epoch);
-  w.PutU64(local);
-  if (bytes != nullptr) {
-    w.PutBlob(*bytes);
-  } else {
-    w.PutU32(0);
-  }
-  if (std::fwrite(w.bytes().data(), 1, w.size(), journal_) != w.size() ||
-      std::fflush(journal_) != 0) {
-    journal_errors_->Add();
-    TANGO_LOG(kWarning) << "node " << node_ << ": journal append failed ("
-                        << std::strerror(errno) << ")";
-    return false;
-  }
-  return true;
-}
-
-void StorageNode::JournalReplay() {
-  std::FILE* in = std::fopen(options_.journal_path.c_str(), "rb");
-  if (in == nullptr) {
-    return;  // fresh node
-  }
-  // Records are self-framing: fixed 13-byte header + u32-length payload.
-  // `good_end` tracks the end of the last whole record so a torn tail can
-  // be truncated away instead of poisoning the next append.
-  long good_end = 0;
-  bool torn = false;
-  while (true) {
-    uint8_t header[17];
-    size_t got = std::fread(header, 1, sizeof(header), in);
-    if (got != sizeof(header)) {
-      torn = got != 0;
-      break;  // EOF (clean) or torn tail record
-    }
-    tango::ByteReader r(header, sizeof(header));
-    JournalOp op = static_cast<JournalOp>(r.GetU8());
-    Epoch epoch = r.GetU32();
-    LogOffset local = r.GetU64();
-    uint32_t len = r.GetU32();
-    std::vector<uint8_t> bytes(len);
-    if (len > 0 && std::fread(bytes.data(), 1, len, in) != len) {
-      torn = true;
-      break;
-    }
-    switch (op) {
-      case kJournalWrite:
-        (void)backend_->Put(epoch, local, bytes);
-        break;
-      case kJournalSeal:
-        (void)backend_->Seal(epoch);
-        break;
-      case kJournalTrim:
-        (void)backend_->Trim(epoch, local);
-        break;
-      case kJournalTrimPrefix:
-        (void)backend_->TrimPrefix(epoch, local);
-        break;
-    }
-    good_end = std::ftell(in);
-  }
-  std::fclose(in);
-  if (torn) {
-    // A crash mid-append leaves a partial record; anything after the last
-    // whole record was never acknowledged.  Truncate so the journal stays
-    // appendable — re-opening "ab" after garbage would corrupt every later
-    // replay.
-    TANGO_LOG(kWarning) << "node " << node_
-                        << ": truncating torn journal tail at byte "
-                        << good_end;
-    if (::truncate(options_.journal_path.c_str(), good_end) != 0) {
-      journal_errors_->Add();
-      TANGO_LOG(kWarning) << "node " << node_
-                          << ": journal truncate failed ("
-                          << std::strerror(errno) << ")";
-    }
-  }
-}
+StorageNode::~StorageNode() { transport_->UnregisterNode(node_); }
 
 void StorageNode::SimulateMedia(uint32_t latency_us) {
   if (latency_us == 0) {
@@ -251,16 +131,12 @@ Status StorageNode::WriteLocal(Epoch epoch, LogOffset local,
     return Status::Busy(static_cast<uint32_t>(hint), "storage node overloaded");
   }
   SimulateMedia(options_.write_latency_us);
-  auto lock = JournalLock();
   Status s = backend_->Put(epoch, local, bytes);
   if (!s.ok()) {
     if (s.code() == StatusCode::kWritten) {
       writes_lost_->Add();
     }
     return s;
-  }
-  if (!JournalAppend(kJournalWrite, epoch, local, &bytes)) {
-    return Status(StatusCode::kUnavailable, "journal write failed");
   }
   writes_ok_->Add();
   return Status::Ok();
@@ -315,35 +191,21 @@ Status StorageNode::ReadBatchLocal(
 }
 
 Result<LogOffset> StorageNode::Seal(Epoch epoch) {
-  auto lock = JournalLock();
   Result<LogOffset> tail = backend_->Seal(epoch);
-  if (!tail.ok()) {
-    return tail;
+  if (tail.ok()) {
+    seals_->Add();
   }
-  if (!JournalAppend(kJournalSeal, epoch, 0, nullptr)) {
-    return Status(StatusCode::kUnavailable, "journal write failed");
-  }
-  seals_->Add();
   return tail;
 }
 
 Status StorageNode::TrimLocal(Epoch epoch, LogOffset local) {
-  auto lock = JournalLock();
   TANGO_RETURN_IF_ERROR(backend_->Trim(epoch, local));
   trims_->Add();
-  if (!JournalAppend(kJournalTrim, epoch, local, nullptr)) {
-    return Status(StatusCode::kUnavailable, "journal write failed");
-  }
   return Status::Ok();
 }
 
 Status StorageNode::TrimPrefixLocal(Epoch epoch, LogOffset local_limit) {
-  auto lock = JournalLock();
-  TANGO_RETURN_IF_ERROR(backend_->TrimPrefix(epoch, local_limit));
-  if (!JournalAppend(kJournalTrimPrefix, epoch, local_limit, nullptr)) {
-    return Status(StatusCode::kUnavailable, "journal write failed");
-  }
-  return Status::Ok();
+  return backend_->TrimPrefix(epoch, local_limit);
 }
 
 size_t StorageNode::PageCount() const { return backend_->PageCount(); }

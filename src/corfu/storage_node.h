@@ -13,16 +13,14 @@
 //
 // The node itself is a protocol shell: wire handling, media simulation and
 // metrics live here, while the write-once page state lives behind a
-// storage::StorageBackend.  The default engine is the in-memory map
-// (optionally paired with the legacy record journal); setting `data_dir`
-// selects the durable SegmentStoreBackend instead.
+// storage::StorageBackend: the in-memory MemoryBackend by default, or the
+// durable SegmentStoreBackend when `data_dir` is set.
 
 #ifndef SRC_CORFU_STORAGE_NODE_H_
 #define SRC_CORFU_STORAGE_NODE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,13 +48,8 @@ class StorageNode {
     // modeling a single-channel device.  When false, latency only delays
     // callers (infinite parallelism).
     bool serialize_media_access = true;
-    // Legacy journal (in-memory engine only): when non-empty,
-    // pages/seals/trims are journaled to this file (append-only, like the
-    // flash the paper runs on) and reloaded on construction, so a storage
-    // node survives process restarts.
-    std::string journal_path;
     // When non-empty, the node runs on the durable SegmentStoreBackend
-    // rooted at this directory (and journal_path is ignored).
+    // rooted at this directory and survives process restarts.
     std::string data_dir;
     // Segment-engine tuning; see storage::SegmentStoreOptions.
     uint64_t segment_bytes = 8ull << 20;
@@ -121,35 +114,12 @@ class StorageNode {
 
   void SimulateMedia(uint32_t latency_us);
 
-  // Holds journal_mu_ for the scope of a mutation iff the legacy journal is
-  // enabled, so journal record order matches backend commit order.
-  std::unique_lock<std::mutex> JournalLock();
-
-  // Journal records (caller holds journal_mu_ via JournalLock).  Journaling
-  // failures are counted (storage.journal.errors), logged at warning level,
-  // and surface as kUnavailable on the triggering operation.
-  enum JournalOp : uint8_t {
-    kJournalWrite = 1,
-    kJournalSeal = 2,
-    kJournalTrim = 3,
-    kJournalTrimPrefix = 4,
-  };
-  bool JournalAppend(JournalOp op, Epoch epoch, LogOffset local,
-                     const std::vector<uint8_t>* bytes);
-  void JournalReplay();
-
   tango::Transport* transport_;
   tango::NodeId node_;
   Options options_;
   std::mutex media_mu_;  // serializes simulated device access
 
   std::unique_ptr<corfu::storage::StorageBackend> backend_;
-
-  // Legacy journal (memory engine only).  journal_mu_ orders backend
-  // mutations with their journal records; it is never taken when the
-  // journal is off, so the durable engine's group commit stays concurrent.
-  std::mutex journal_mu_;
-  std::FILE* journal_ = nullptr;
 
   // Registry instruments (shared across all storage nodes in the process).
   tango::obs::Counter* writes_ok_;
@@ -159,7 +129,6 @@ class StorageNode {
   tango::obs::Counter* reads_trimmed_;
   tango::obs::Counter* seals_;
   tango::obs::Counter* trims_;
-  tango::obs::Counter* journal_errors_;
   tango::obs::Histogram* batch_size_;
   tango::obs::Counter* write_shed_;
   tango::obs::Gauge* inflight_writes_gauge_;

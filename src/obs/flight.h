@@ -34,7 +34,7 @@ enum class FlightKind : uint8_t {
   kSeal = 1,          // storage node sealed an epoch
   kReconfig = 2,      // projection change installed
   kGc = 3,            // segment GC / trim activity
-  kRecovery = 4,      // recovery step (journal replay, rebuild, ...)
+  kRecovery = 4,      // recovery step (segment replay, rebuild, ...)
   kPipelineStall = 5, // append pipeline blocked on its window
   kFailstop = 6,      // injected or detected fail-stop
   kSignal = 7,        // fatal signal (written by the handler itself)

@@ -591,7 +591,9 @@ Status TangoRuntime::ApplyCommit(LogOffset offset, const CommitRecord& commit,
 
 void TangoRuntime::CheckDecisionDeadlines() {
   // Collect due decisions under the lock, append outside it (AppendDecision
-  // does log RPCs).
+  // does log RPCs).  A due entry stays queued, with a fresh deadline, until
+  // its append succeeds or a decision record for it plays, so a failed
+  // append is retried after another timeout.
   std::vector<std::pair<TxId, AwaitedDecision>> due;
   {
     std::lock_guard<std::mutex> lock(decision_mu_);
@@ -599,13 +601,11 @@ void TangoRuntime::CheckDecisionDeadlines() {
       return;
     }
     uint64_t now = NowMicros();
-    for (auto it = awaited_decisions_.begin();
-         it != awaited_decisions_.end();) {
-      if (now >= it->second.deadline_us) {
-        due.emplace_back(it->first, std::move(it->second));
-        it = awaited_decisions_.erase(it);
-      } else {
-        ++it;
+    for (auto& [txid, awaited] : awaited_decisions_) {
+      if (now >= awaited.deadline_us) {
+        awaited.deadline_us =
+            now + static_cast<uint64_t>(options_.decision_timeout_ms) * 1000;
+        due.emplace_back(txid, awaited);
       }
     }
   }
@@ -615,6 +615,8 @@ void TangoRuntime::CheckDecisionDeadlines() {
     Status st = AppendDecision(txid, awaited.commit, awaited.streams);
     if (st.ok()) {
       stats_.decisions_appended.fetch_add(1, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(decision_mu_);
+      awaited_decisions_.erase(txid);
     }
   }
 }

@@ -7,8 +7,7 @@
 // implement it:
 //
 //   - MemoryBackend       (memory_backend.h): the original in-memory
-//     FlashSegment map.  No durability of its own (the StorageNode's legacy
-//     journal can sit on top); keeps benches and most tests fast.
+//     FlashSegment map.  No durability; keeps benches and most tests fast.
 //   - SegmentStoreBackend (segment_store.h): a log-structured segment store
 //     with CRC32C-checksummed records, group-flushed writes with fsync
 //     batching, segment-granularity GC, and crash-consistent recovery.

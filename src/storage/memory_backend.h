@@ -2,8 +2,8 @@
 //
 // Exactly the semantics StorageNode had before the backend split: an
 // unordered page map with write-once enforcement, a prefix trim watermark
-// plus an individual-trim set, and a sealed epoch.  No durability — the
-// StorageNode's legacy journal (or a chain replica) provides it when needed.
+// plus an individual-trim set, and a sealed epoch.  No durability: a chain
+// replica, or SegmentStoreBackend in its place, provides that when needed.
 // This is the engine benches use, so its hot paths must stay a map lookup
 // under an uncontended mutex.
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "src/obs/flight.h"
 #include "src/obs/slo.h"
@@ -641,22 +642,33 @@ Status SegmentStoreBackend::GetBatch(
     std::vector<Result<std::vector<uint8_t>>>* pages) {
   std::unique_lock<std::mutex> lk(mu_);
   TANGO_RETURN_IF_ERROR(CheckEpochLocked(epoch));
+  // Resolve every ref before flushing, as Get does: the flush drops the
+  // lock, and a Put admitted meanwhile has a ref past the file's written
+  // end.  Pages admitted after this point read as unwritten, which
+  // linearizes the batch here.
+  std::vector<std::optional<PageRef>> refs;
+  refs.reserve(locals.size());
+  for (LogOffset local : locals) {
+    auto it = pages_.find(local);
+    refs.push_back(it == pages_.end() ? std::nullopt
+                                      : std::optional<PageRef>(it->second));
+  }
   if (!buf_.empty() || writer_active_) {
     TANGO_RETURN_IF_ERROR(FlushToSeqLocked(accepted_seq_, lk));
     TANGO_RETURN_IF_ERROR(CheckEpochLocked(epoch));
   }
   pages->reserve(pages->size() + locals.size());
-  for (LogOffset local : locals) {
+  for (size_t i = 0; i < locals.size(); ++i) {
+    LogOffset local = locals[i];
+    // Checked after the flush: a trim in its window may have let GC delete
+    // the resolved ref's segment.
     if (local < trim_prefix_ || trimmed_.contains(local)) {
       pages->emplace_back(Status(StatusCode::kTrimmed));
-      continue;
-    }
-    auto it = pages_.find(local);
-    if (it == pages_.end()) {
+    } else if (!refs[i].has_value()) {
       pages->emplace_back(Status(StatusCode::kUnwritten));
-      continue;
+    } else {
+      pages->emplace_back(ReadPageLocked(*refs[i], local));
     }
-    pages->emplace_back(ReadPageLocked(it->second, local));
   }
   return Status::Ok();
 }

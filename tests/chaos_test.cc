@@ -176,8 +176,8 @@ TEST_P(ChaosTest, ConvergesUnderFaults) {
 TEST_P(ChaosTest, SelfHealsUnderKillAndPartition) {
   // The self-healing tentpole under chaos: a storage node dies and a worker
   // suffers an asymmetric partition mid-run while the background
-  // HealthMonitor is active.  Nobody calls ReplaceStorageNode; the cluster
-  // must converge on its own and every view must agree afterwards.
+  // HealthMonitor is active.  No operator steps in; the cluster must
+  // converge on its own and every view must agree afterwards.
   constexpr int kWorkers = 3;
   constexpr int kOpsPerWorker = 40;
 

@@ -19,7 +19,6 @@ namespace {
 
 using tango_test::Bytes;
 using tango_test::ClusterFixture;
-using tango_test::Str;
 
 class FailoverTest : public ClusterFixture {};
 
@@ -126,49 +125,10 @@ TEST_F(FailoverTest, StorageNodeCrashRoutedAroundByAppends) {
   EXPECT_TRUE(client->Append(Bytes("recovered")).ok());
 }
 
-TEST_F(FailoverTest, StorageNodeReplacement) {
-  // Baseline-CORFU reconfiguration for storage failures: copy the chain's
-  // pages onto a replacement, swap it into the projection, keep serving.
-  auto client = MakeClient();
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(client->Append(Bytes("pre-" + std::to_string(i))).ok());
-  }
-
-  // Kill the tail of the first chain and bring up an empty replacement.
-  corfu::Projection before = client->projection();
-  tango::NodeId failed = before.replica_sets[0][1];
-  tango::NodeId replacement = 7777;
-  cluster_->SpawnStorageNode(replacement);
-  transport_.KillNode(failed);
-
-  ASSERT_TRUE(
-      corfu::ReplaceStorageNode(client.get(), failed, replacement).ok());
-  corfu::Projection after = client->projection();
-  EXPECT_EQ(after.epoch, before.epoch + 1);
-  EXPECT_EQ(after.replica_sets[0][1], replacement);
-
-  // Every pre-failure entry is readable (reads on chain 0 now hit the
-  // replacement, which received the copied pages).
-  for (corfu::LogOffset o = 0; o < 20; ++o) {
-    auto entry = client->Read(o);
-    ASSERT_TRUE(entry.ok()) << "offset " << o;
-  }
-  // And the log keeps accepting appends at the new epoch.
-  auto offset = client->Append(Bytes("post-replacement"));
-  ASSERT_TRUE(offset.ok());
-  EXPECT_EQ(*offset, 20u);
-
-  // Other clients fence over transparently.
-  auto other = MakeClient();
-  auto read = other->Read(*offset);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(Str(read->payload), "post-replacement");
-}
-
 TEST_F(FailoverTest, AutoHealReplacesKilledNodeWithoutOperator) {
   // The self-healing path end to end: a randomly chosen storage node dies
   // mid-workload and the background HealthMonitor detects it, degrades the
-  // chain, and repairs onto a spare — no manual ReplaceStorageNode call.
+  // chain, and repairs onto a spare — no operator involved.
   auto client = MakeClient();
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(client->Append(Bytes("pre-" + std::to_string(i))).ok());
@@ -232,20 +192,6 @@ TEST_F(FailoverTest, AutoHealReplacesKilledNodeWithoutOperator) {
     ASSERT_TRUE(entry.ok()) << "offset " << o;
   }
   ASSERT_TRUE(cold->Append(Bytes("post-heal")).ok());
-}
-
-TEST_F(FailoverTest, StorageReplacementRequiresSurvivor) {
-  auto client = MakeClient();
-  ASSERT_TRUE(client->Append(Bytes("x")).ok());
-  corfu::Projection p = client->projection();
-  // Kill BOTH replicas of chain 0: replacement is impossible.
-  tango::NodeId a = p.replica_sets[0][0];
-  cluster_->SpawnStorageNode(8888);
-  transport_.KillNode(a);
-  // Copying from the surviving replica still works for node a...
-  // ...but a node outside every chain is rejected outright.
-  EXPECT_EQ(corfu::ReplaceStorageNode(client.get(), 424242, 8888).code(),
-            StatusCode::kNotFound);
 }
 
 TEST(TcpClusterTest, FullStackOverTcp) {

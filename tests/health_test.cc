@@ -165,6 +165,86 @@ TEST_F(HealthTest, DegradedModeKeepsServingWithoutRepair) {
   ASSERT_TRUE(client->Append(Bytes("degraded-write")).ok());
 }
 
+TEST_F(HealthTest, NeverExcisesTheSoleSurvivingReplica) {
+  auto client = MakeClient();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client->Append(Bytes("l" + std::to_string(i))).ok());
+  }
+  corfu::HealthMonitor::Options options;
+  options.miss_threshold = 2;
+  options.auto_repair = false;
+  auto monitor = MakeMonitor(options);
+
+  // Degrade chain 0 down to its tail.
+  NodeId head = client->projection().replica_sets[0][0];
+  NodeId tail = client->projection().replica_sets[0][1];
+  transport_.KillNode(head);
+  for (int i = 0; i < 6; ++i) {
+    (void)monitor->RunOnce();
+  }
+  ASSERT_TRUE(client->RefreshProjection().ok());
+  corfu::Projection degraded = client->projection();
+  ASSERT_EQ(degraded.replica_sets[0], std::vector<NodeId>{tail});
+
+  // Now the sole replica dies too: excising it would lose the extent.
+  transport_.KillNode(tail);
+  Status last;
+  for (int i = 0; i < 6; ++i) {
+    last = monitor->RunOnce();
+  }
+  EXPECT_EQ(last.code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(client->RefreshProjection().ok());
+  EXPECT_EQ(client->projection().epoch, degraded.epoch);
+  EXPECT_EQ(client->projection().replica_sets[0], std::vector<NodeId>{tail});
+
+  // Once it answers again the log serves every entry and new appends.
+  transport_.ReviveNode(tail);
+  for (int i = 0; i < 3; ++i) {
+    (void)monitor->RunOnce();
+  }
+  for (corfu::LogOffset o = 0; o < 10; ++o) {
+    ASSERT_TRUE(client->Read(o).ok()) << "offset " << o;
+  }
+  ASSERT_TRUE(client->Append(Bytes("revived")).ok());
+}
+
+TEST_F(HealthTest, BothReplicasDeadSealsNothingUntilOneRevives) {
+  // Degrading a chain whose other member is dead too would seal the chains
+  // before it at e+1 and then fail, fencing the whole log at an epoch no
+  // projection names.  The monitor must refuse instead, and heal once one
+  // replica answers.
+  auto client = MakeClient();
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(client->Append(Bytes("b" + std::to_string(i))).ok());
+  }
+  corfu::HealthMonitor::Options options;
+  options.miss_threshold = 2;
+  auto monitor = MakeMonitor(options);
+
+  corfu::Projection before = client->projection();
+  std::vector<NodeId> chain = before.replica_sets.back();
+  for (NodeId node : chain) {
+    transport_.KillNode(node);
+  }
+  Status last;
+  for (int i = 0; i < 6; ++i) {
+    last = monitor->RunOnce();
+  }
+  EXPECT_EQ(last.code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(client->RefreshProjection().ok());
+  EXPECT_EQ(client->projection().epoch, before.epoch);
+  EXPECT_EQ(client->projection().replica_sets.back(), chain);
+
+  transport_.ReviveNode(chain[0]);
+  RunUntilHealed(monitor.get());
+  ASSERT_TRUE(client->RefreshProjection().ok());
+  EXPECT_EQ(client->projection().replica_sets.back().size(), 2u);
+  for (corfu::LogOffset o = 0; o < 12; ++o) {
+    ASSERT_TRUE(client->Read(o).ok()) << "offset " << o;
+  }
+  ASSERT_TRUE(client->Append(Bytes("healed")).ok());
+}
+
 TEST_F(HealthTest, AutoReplacesDeadSequencer) {
   auto client = MakeClient();
   for (int i = 0; i < 8; ++i) {

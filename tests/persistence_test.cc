@@ -1,6 +1,7 @@
-// Durability across process restarts: storage nodes journal pages to disk
-// and reload them on construction, so "the shared log is the source of
-// durability" holds even when every server goes down.
+// Durability across process restarts: storage nodes on the segment store
+// (data_dir) reload their pages, seals and trims on construction, so "the
+// shared log is the source of durability" holds even when every server goes
+// down.
 
 #include <gtest/gtest.h>
 
@@ -36,8 +37,11 @@ class PersistenceTest : public ::testing::Test {
   }
   ~PersistenceTest() override { std::filesystem::remove_all(dir_); }
 
-  std::string JournalPath(const std::string& name) {
-    return (dir_ / name).string();
+  // Options for a storage node whose segment store lives under dir_.
+  StorageNode::Options DurableNode() {
+    StorageNode::Options options;
+    options.data_dir = (dir_ / "node-data").string();
+    return options;
   }
 
   std::filesystem::path dir_;
@@ -48,8 +52,7 @@ int PersistenceTest::counter_ = 0;
 
 TEST_F(PersistenceTest, PagesSurviveRestart) {
   tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
+  StorageNode::Options options = DurableNode();
   {
     StorageNode node(&transport, 1, options);
     ASSERT_TRUE(node.WriteLocal(0, 3, Bytes("persisted")).ok());
@@ -68,8 +71,7 @@ TEST_F(PersistenceTest, PagesSurviveRestart) {
 
 TEST_F(PersistenceTest, SealSurvivesRestart) {
   tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
+  StorageNode::Options options = DurableNode();
   {
     StorageNode node(&transport, 1, options);
     ASSERT_TRUE(node.Seal(4).ok());
@@ -83,8 +85,7 @@ TEST_F(PersistenceTest, SealSurvivesRestart) {
 
 TEST_F(PersistenceTest, TrimsSurviveRestart) {
   tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
+  StorageNode::Options options = DurableNode();
   {
     StorageNode node(&transport, 1, options);
     for (LogOffset o = 0; o < 6; ++o) {
@@ -100,58 +101,9 @@ TEST_F(PersistenceTest, TrimsSurviveRestart) {
   EXPECT_TRUE(revived.ReadLocal(0, 4).ok());
 }
 
-TEST_F(PersistenceTest, TornTailRecordIgnored) {
-  tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
-  {
-    StorageNode node(&transport, 1, options);
-    ASSERT_TRUE(node.WriteLocal(0, 0, Bytes("good")).ok());
-    ASSERT_TRUE(node.WriteLocal(0, 1, Bytes("torn")).ok());
-  }
-  // Simulate a crash mid-write: chop a few bytes off the journal tail.
-  auto size = std::filesystem::file_size(options.journal_path);
-  std::filesystem::resize_file(options.journal_path, size - 3);
-
-  StorageNode revived(&transport, 1, options);
-  EXPECT_TRUE(revived.ReadLocal(0, 0).ok());
-  // The torn record is dropped; the slot reads as unwritten (the chain's
-  // other replica still has it — this is exactly why entries are mirrored).
-  EXPECT_EQ(revived.ReadLocal(0, 1).status().code(), StatusCode::kUnwritten);
-}
-
-TEST_F(PersistenceTest, TornJournalIsTruncatedSoLaterAppendsSurviveRestarts) {
-  // Regression: replay used to stop at a torn tail record but leave the
-  // garbage bytes in place, so the next "ab" append landed after them and
-  // every later restart lost everything written post-recovery.
-  tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
-  {
-    StorageNode node(&transport, 1, options);
-    ASSERT_TRUE(node.WriteLocal(0, 0, Bytes("good")).ok());
-    ASSERT_TRUE(node.WriteLocal(0, 1, Bytes("torn")).ok());
-  }
-  auto size = std::filesystem::file_size(options.journal_path);
-  std::filesystem::resize_file(options.journal_path, size - 3);
-  {
-    StorageNode revived(&transport, 1, options);
-    EXPECT_TRUE(revived.ReadLocal(0, 0).ok());
-    EXPECT_EQ(revived.ReadLocal(0, 1).status().code(), StatusCode::kUnwritten);
-    // The torn bytes must be gone so these appends replay on the NEXT boot.
-    ASSERT_TRUE(revived.WriteLocal(0, 1, Bytes("fresh")).ok());
-    ASSERT_TRUE(revived.WriteLocal(0, 2, Bytes("more")).ok());
-  }
-  StorageNode third(&transport, 1, options);
-  EXPECT_EQ(tango_test::Str(*third.ReadLocal(0, 0)), "good");
-  EXPECT_EQ(tango_test::Str(*third.ReadLocal(0, 1)), "fresh");
-  EXPECT_EQ(tango_test::Str(*third.ReadLocal(0, 2)), "more");
-}
-
 TEST_F(PersistenceTest, SegmentStoreNodeSurvivesRestart) {
   tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.data_dir = (dir_ / "node-data").string();
+  StorageNode::Options options = DurableNode();
   options.fsync_batch = 1;
   {
     StorageNode node(&transport, 1, options);
@@ -325,40 +277,6 @@ TEST_F(PersistenceTest, KillNineClusterLosesNoAcknowledgedAppend) {
               "crash-entry-" + std::to_string(id))
         << "wrong bytes at offset " << offset;
   }
-}
-
-TEST_F(PersistenceTest, WholeClusterRestartPreservesObjects) {
-  // End to end: build objects, restart every storage node, rebuild views.
-  tango::InProcTransport transport;
-  corfu::CorfuCluster::Options options;
-  options.num_storage_nodes = 4;
-  options.replication_factor = 2;
-  options.journal_dir = dir_.string();
-  {
-    corfu::CorfuCluster cluster(&transport, options);
-    auto client = cluster.MakeClient();
-    tango::TangoRuntime runtime(client.get());
-    tango::TangoMap map(&runtime, 1);
-    for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(map.Put("k" + std::to_string(i), "v" + std::to_string(i))
-                      .ok());
-    }
-  }  // full cluster shutdown
-
-  tango::InProcTransport transport2;
-  corfu::CorfuCluster cluster(&transport2, options);
-  auto client = cluster.MakeClient();
-  // The fresh sequencer knows nothing; recover its state from storage.
-  ASSERT_TRUE(
-      Reconfigure(client.get(), [](Projection&) {}).ok());
-  tango::TangoRuntime runtime(client.get());
-  tango::TangoMap map(&runtime, 1);
-  auto size = map.Size();
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, 12u);
-  auto value = map.Get("k7");
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*value, "v7");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -356,6 +357,97 @@ TEST_F(SegmentStoreTest, ConcurrentAppendersGroupCommit) {
     ASSERT_TRUE(page.ok()) << "offset " << i;
     EXPECT_EQ(Str(*page), std::to_string(i));
   }
+}
+
+// The real file system with every append slowed down, so a group write
+// holds its window (store lock dropped, bytes not yet in the file) open long
+// enough for a concurrent reader to land in it.
+class SlowAppendFs : public FileSystem {
+ public:
+  tango::Result<std::unique_ptr<File>> Open(const std::string& path) override {
+    auto file = PosixFileSystem()->Open(path);
+    if (!file.ok()) {
+      return file.status();
+    }
+    return std::unique_ptr<File>(std::make_unique<SlowFile>(std::move(*file)));
+  }
+  tango::Result<std::vector<std::string>> List(
+      const std::string& dir) override {
+    return PosixFileSystem()->List(dir);
+  }
+  tango::Status Remove(const std::string& path) override {
+    return PosixFileSystem()->Remove(path);
+  }
+  tango::Status CreateDir(const std::string& path) override {
+    return PosixFileSystem()->CreateDir(path);
+  }
+  bool Exists(const std::string& path) override {
+    return PosixFileSystem()->Exists(path);
+  }
+
+ private:
+  class SlowFile : public File {
+   public:
+    explicit SlowFile(std::unique_ptr<File> inner) : inner_(std::move(inner)) {}
+    tango::Result<size_t> Append(std::span<const uint8_t> bytes) override {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      return inner_->Append(bytes);
+    }
+    tango::Status Sync() override { return inner_->Sync(); }
+    tango::Result<size_t> ReadAt(uint64_t offset,
+                                 std::span<uint8_t> out) override {
+      return inner_->ReadAt(offset, out);
+    }
+    tango::Status Truncate(uint64_t size) override {
+      return inner_->Truncate(size);
+    }
+    tango::Result<uint64_t> Size() override { return inner_->Size(); }
+
+   private:
+    std::unique_ptr<File> inner_;
+  };
+};
+
+TEST_F(SegmentStoreTest, GetBatchConcurrentWithPutNeverFailsTheCrc) {
+  // Regression: GetBatch flushed and only then resolved its refs.  The flush
+  // drops the lock, so a Put admitted in that window resolved to a ref past
+  // the file's written end and read back as a CRC reject.
+  SlowAppendFs fs;
+  auto opts = Opts();
+  opts.fs = &fs;
+  opts.fsync_batch = 1u << 30;  // keep fsync out of the race window
+  auto store = MustOpen(opts);
+  constexpr LogOffset kPages = 2000;
+  auto payload = [](LogOffset o) { return "page-" + std::to_string(o); };
+  std::atomic<LogOffset> acked{0};
+  std::thread writer([&] {
+    for (LogOffset o = 0; o < kPages; ++o) {
+      ASSERT_TRUE(store->Put(0, o, Bytes(payload(o))).ok());
+      acked.store(o + 1);
+    }
+  });
+  std::vector<LogOffset> locals;
+  std::vector<tango::Result<std::vector<uint8_t>>> pages;
+  for (LogOffset done = 0; done < kPages;) {
+    done = acked.load();
+    // The newest acknowledged pages plus the ones being written right now.
+    locals.clear();
+    for (LogOffset o = done >= 4 ? done - 4 : 0; o < done + 4; ++o) {
+      locals.push_back(o);
+    }
+    pages.clear();
+    ASSERT_TRUE(store->GetBatch(0, locals, &pages).ok());
+    for (size_t i = 0; i < locals.size(); ++i) {
+      if (locals[i] < done) {
+        ASSERT_TRUE(pages[i].ok()) << "acked page " << locals[i];
+      }
+      if (pages[i].ok()) {
+        EXPECT_EQ(Str(*pages[i]), payload(locals[i]));
+      }
+    }
+  }
+  writer.join();
+  EXPECT_EQ(store->corrupt_reads(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "src/objects/tango_list.h"
@@ -326,6 +327,53 @@ TEST_F(TxnTest, DecisionRecordAbortPropagates) {
   EXPECT_EQ(c_at_b.Get("c").status().code(), StatusCode::kNotFound);
 }
 
+// Forwards to the cluster's transport.  Once armed, fails the next sequencer
+// grant with a non-retryable error, so exactly one append fails.
+class FailNextAppendTransport : public Transport {
+ public:
+  explicit FailNextAppendTransport(Transport* inner) : inner_(inner) {}
+
+  Status Call(NodeId dest, uint16_t method, std::span<const uint8_t> request,
+              std::vector<uint8_t>* response) override {
+    if (method == corfu::kSequencerNext && fail_next_append.exchange(false)) {
+      return Status(StatusCode::kInternal, "injected append failure");
+    }
+    return inner_->Call(dest, method, request, response);
+  }
+  void RegisterNode(NodeId node, RpcHandler handler) override {
+    inner_->RegisterNode(node, std::move(handler));
+  }
+  void UnregisterNode(NodeId node) override { inner_->UnregisterNode(node); }
+
+  std::atomic<bool> fail_next_append{false};
+
+ private:
+  Transport* inner_;
+};
+
+// A commit record whose generator "crashed" before its decision record:
+// reads key "key" of map 1 at `host`'s current version, writes c=orphan to
+// map 2.  Nobody appends a decision for it but a read-set host's fallback.
+std::vector<uint8_t> OrphanedCommit(TangoRuntime& host) {
+  std::vector<WriteOp> writes(1);
+  writes[0].oid = 2;
+  writes[0].has_key = true;
+  writes[0].key = std::hash<std::string>{}("c");
+  {
+    ByteWriter w;
+    w.PutU8(1);  // kPut
+    w.PutString("c");
+    w.PutString("orphan");
+    writes[0].data = w.Take();
+  }
+  std::vector<ReadDep> reads(1);
+  reads[0].oid = 1;
+  reads[0].has_key = true;
+  reads[0].key = std::hash<std::string>{}("key");
+  reads[0].version = host.VersionOf(1, reads[0].key);
+  return EncodeRecord(MakeCommitRecord(/*txid=*/0xdead0001, writes, reads));
+}
+
 TEST_F(TxnTest, OrphanedCommitPatchedByReadSetHost) {
   // §4.1 Failure Handling: the generator "crashes" after the commit record
   // (we simulate by appending a commit record manually with no decision).
@@ -344,27 +392,8 @@ TEST_F(TxnTest, OrphanedCommitPatchedByReadSetHost) {
 
   ASSERT_TRUE(a_at_patcher.Put("key", "v").ok());
   ASSERT_TRUE(a_at_patcher.Get("key").ok());
-
-  // Hand-craft the orphaned commit record: reads A@version, writes C.
-  std::vector<WriteOp> writes(1);
-  writes[0].oid = 2;
-  writes[0].has_key = true;
-  writes[0].key = std::hash<std::string>{}("c");
-  {
-    ByteWriter w;
-    w.PutU8(1);  // kPut
-    w.PutString("c");
-    w.PutString("orphan");
-    writes[0].data = w.Take();
-  }
-  std::vector<ReadDep> reads(1);
-  reads[0].oid = 1;
-  reads[0].has_key = true;
-  reads[0].key = std::hash<std::string>{}("key");
-  reads[0].version = patcher.VersionOf(1, reads[0].key);
-  auto payload = EncodeRecord(
-      MakeCommitRecord(/*txid=*/0xdead0001, writes, reads));
-  ASSERT_TRUE(patcher_client->AppendToStreams(payload, {2}).ok());
+  ASSERT_TRUE(
+      patcher_client->AppendToStreams(OrphanedCommit(patcher), {2}).ok());
 
   // The patcher (hosting A and C) evaluates the commit and, after its
   // timeout, publishes the decision record on stream 2.
@@ -374,6 +403,48 @@ TEST_F(TxnTest, OrphanedCommitPatchedByReadSetHost) {
   EXPECT_GE(patcher.stats().decisions_appended, 1u);
 
   // The partitioned consumer B unblocks via the patched decision.
+  auto value = c_at_b.Get("c");
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, "orphan");
+}
+
+TEST_F(TxnTest, FailedFallbackDecisionIsRetried) {
+  // As above, but the read-set host's first decision append fails.  The
+  // decision must stay queued for the next deadline check; dropping it
+  // leaves the partitioned consumer stalled for good.
+  ObjectConfig needs_decision;
+  needs_decision.needs_decision_records = true;
+
+  FailNextAppendTransport faulty(&transport_);
+  corfu::CorfuClient::Options client_options;
+  client_options.hole_timeout_ms = 5;
+  corfu::CorfuClient patcher_client(
+      &faulty, cluster_->options().projection_store_node, client_options);
+  TangoRuntime::Options patched_options;
+  patched_options.decision_timeout_ms = 30;
+  TangoRuntime patcher(&patcher_client, patched_options);
+  TangoMap a_at_patcher(&patcher, 1);
+  TangoMap c_at_patcher(&patcher, 2, {needs_decision});
+
+  TangoMap c_at_b(&rt_b_, 2, {needs_decision});  // waits on decisions
+
+  ASSERT_TRUE(a_at_patcher.Put("key", "v").ok());
+  ASSERT_TRUE(a_at_patcher.Get("key").ok());
+  ASSERT_TRUE(
+      patcher_client.AppendToStreams(OrphanedCommit(patcher), {2}).ok());
+  ASSERT_TRUE(c_at_patcher.Get("c").ok());  // plays the commit
+
+  // First deadline: the decision append fails.
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  faulty.fail_next_append.store(true);
+  ASSERT_TRUE(patcher.QueryHelper(2).ok());
+  ASSERT_FALSE(faulty.fail_next_append.load()) << "no decision append ran";
+  EXPECT_EQ(patcher.stats().decisions_appended, 0u);
+
+  // Next deadline: the retry goes out and B resolves the transaction.
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  ASSERT_TRUE(patcher.QueryHelper(2).ok());
+  EXPECT_EQ(patcher.stats().decisions_appended, 1u);
   auto value = c_at_b.Get("c");
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, "orphan");

@@ -9,10 +9,12 @@
 //
 // Usage:
 //   tango_logd [--base-port=19700] [--nodes=6] [--repl=2]
-//              [--journal-dir=/var/lib/tango] [--data-dir=/var/lib/tango]
-//              [--fsync-batch=64] [--listen=127.0.0.1]
-//              [--http-port=N] [--trace-sample-every=1024]
-//              [--trace-slow-us=10000]
+//              [--data-dir=/var/lib/tango] [--fsync-batch=64]
+//              [--listen=127.0.0.1] [--http-port=N]
+//              [--trace-sample-every=1024] [--trace-slow-us=10000]
+//
+// An unknown flag, a positional argument or a non-numeric value for a
+// numeric flag exits 2 with a usage line.
 //
 // Observability: an embedded HTTP server (default port base_port + 3 +
 // nodes; --http-port=0 disables) serves /metrics (Prometheus), /traces
@@ -22,15 +24,20 @@
 // plane events (seals, reconfigurations, GC, recovery, stalls) are written
 // to stderr before the process dies.
 //
-// With --journal-dir, storage nodes persist their pages and survive daemon
-// restarts (restart with the same flags, then run `tango_cli recover` once
-// to rebuild the fresh sequencer's state from the log).  --data-dir selects
-// the crash-consistent segment store instead (checksummed segment files
-// under <data-dir>/node-<id>, kill -9 safe); --fsync-batch tunes its group
+// Without --data-dir the storage nodes keep their pages in memory.  With it,
+// they run on the crash-consistent segment store (checksummed segment files
+// under <data-dir>/node-<id>, kill -9 safe) and survive daemon restarts:
+// restart with the same flags, then run `tango_cli recover` once to rebuild
+// the fresh sequencer's state from the log.  --fsync-batch tunes the group
 // commit (1 = fsync every append).
 
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <string_view>
 
 #include "src/corfu/cluster.h"
 #include "src/net/tcp_transport.h"
@@ -51,15 +58,54 @@ void HandleSignal(int /*sig*/) {
   }
 }
 
+constexpr const char* kUsage =
+    "usage: tango_logd [--base-port=19700] [--nodes=6] [--repl=2] "
+    "[--data-dir=DIR] [--fsync-batch=64] [--listen=127.0.0.1] "
+    "[--http-port=N] [--trace-sample-every=1024] [--trace-slow-us=10000]";
+
+// Every flag tango_logd takes.
+struct Flag {
+  std::string_view name;
+  bool integer;  // the value must parse as an integer
+};
+constexpr Flag kFlags[] = {
+    {"base-port", true}, {"nodes", true},       {"repl", true},
+    {"data-dir", false}, {"fsync-batch", true}, {"listen", false},
+    {"http-port", true}, {"trace-sample-every", true},
+    {"trace-slow-us", true}};
+
+// What is wrong with the first bad argument, or "" when all are good.
+std::string BadArgument(const tangotools::ToolArgs& args) {
+  if (!args.positional.empty()) {
+    return "unexpected argument " + args.positional.front();
+  }
+  for (const auto& [name, value] : args.flags) {
+    auto flag = std::ranges::find(kFlags, name, &Flag::name);
+    if (flag == std::end(kFlags)) {
+      return "unknown flag --" + name;
+    }
+    int64_t parsed;
+    const char* end = value.data() + value.size();
+    auto [stop, ec] = std::from_chars(value.data(), end, parsed);
+    if (flag->integer && (ec != std::errc() || stop != end)) {
+      return "--" + name + " needs an integer, got '" + value + "'";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   tangotools::ToolArgs args(argc, argv);
+  if (std::string bad = BadArgument(args); !bad.empty()) {
+    std::fprintf(stderr, "tango_logd: %s\n%s\n", bad.c_str(), kUsage);
+    return 2;
+  }
   tangotools::NodeLayout layout{
       static_cast<int>(args.GetInt("nodes", 6)),
       static_cast<uint16_t>(args.GetInt("base-port", 19700))};
   int replication = static_cast<int>(args.GetInt("repl", 2));
-  std::string journal_dir = args.Get("journal-dir", "");
   std::string data_dir = args.Get("data-dir", "");
   uint32_t fsync_batch = static_cast<uint32_t>(args.GetInt("fsync-batch", 64));
   std::string listen = args.Get("listen", "127.0.0.1");
@@ -84,7 +130,6 @@ int main(int argc, char** argv) {
   layout.AssignListenPorts(transport);
 
   corfu::CorfuCluster::Options options = layout.ClusterOptions(replication);
-  options.journal_dir = journal_dir;
   if (!data_dir.empty()) {
     // Each node roots its segment store under here; create the parent now.
     (void)corfu::storage::PosixFileSystem()->CreateDir(data_dir);
@@ -118,11 +163,8 @@ int main(int argc, char** argv) {
       layout.num_storage_nodes, replication, listen.c_str(),
       layout.ProjectionStorePort(),
       layout.StoragePort(layout.num_storage_nodes - 1),
-      !data_dir.empty()
-          ? (", durable segment store in " + data_dir).c_str()
-          : (journal_dir.empty()
-                 ? ""
-                 : (", journaling to " + journal_dir).c_str()));
+      data_dir.empty() ? ""
+                       : (", durable segment store in " + data_dir).c_str());
   std::printf("tango_logd: stats endpoint (tango_stat --connect) on port %u\n",
               layout.StatsPort());
   if (http.running()) {
