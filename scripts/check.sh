@@ -52,14 +52,15 @@ echo "== tier-3: TSan on the concurrency-heavy suites =="
 # The full TSan ctest runs in its own CI job; locally we gate on the suites
 # that exercise the parallel playback engine, the shared executor, the
 # per-thread trace/flight rings under concurrent multiplexed RPC, the health
-# monitor's concurrent reconfigurations, and the segment store's group
-# commit racing its readers.
+# monitor's concurrent reconfigurations, the segment store's group commit
+# racing its readers, the log client's own-write completion wait, and the
+# runtime's already-played watermark.
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DCMAKE_BUILD_TYPE=Tsan
 cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   --target playback_test util_test runtime_test txn_test obs_test \
-  transport_test health_test segment_store_test
+  transport_test health_test segment_store_test log_client_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" ctest \
   --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-  -R '^(playback_test|util_test|runtime_test|txn_test|obs_test|transport_test|health_test|segment_store_test)$'
+  -R '^(playback_test|util_test|runtime_test|txn_test|obs_test|transport_test|health_test|segment_store_test|log_client_test)$'
 
 echo "check.sh: all green"

@@ -225,6 +225,7 @@ void AppendPipeline::Shutdown() {
     } else {
       ++failures;
     }
+    client_->ReleaseOffset(t.offset);  // a no-op for abandoned tokens
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -381,11 +382,13 @@ Status AppendPipeline::TryOnce(const Work& work, LogOffset* out) {
     }
   }
   if (st.ok()) {
+    client_->ReleaseOffset(token.offset);
     *out = token.offset;
     return st;
   }
   if (st == StatusCode::kWritten || st == StatusCode::kTrimmed) {
     // The offset is occupied (or reclaimed) — not a hole, nothing to fill.
+    client_->ReleaseOffset(token.offset);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.tokens_lost;
     return st;
@@ -446,6 +449,7 @@ Status AppendPipeline::AcquireToken(const Projection& p,
       }
       // Granted under an epoch that has since been sealed; it can never be
       // written, only filled.
+      client_->ReleaseOffset(t.offset);
       abandoned_.push_back(std::move(t));
       abandoned_counter_->Add();
       std::lock_guard<std::mutex> slock(stats_mu_);
@@ -465,9 +469,7 @@ Status AppendPipeline::AcquireToken(const Projection& p,
   uint32_t count =
       std::min(std::max(bucket.waiting, options_.grant_batch), kMaxGrantBatch);
   lock.unlock();
-  Result<SequencerGrant> grant =
-      SequencerNext(client_->transport_, p.sequencer, p.epoch, count, streams,
-                    client_->client_id_);
+  Result<SequencerGrant> grant = client_->GrantTokens(p, count, streams);
   lock.lock();
   bucket.grant_inflight = false;
   if (!grant.ok()) {
@@ -503,6 +505,8 @@ Status AppendPipeline::AcquireToken(const Projection& p,
 }
 
 void AppendPipeline::Abandon(Token token) {
+  // Readers waiting on this offset fall back to the poll and fill.
+  client_->ReleaseOffset(token.offset);
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
     abandoned_.push_back(std::move(token));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 
 #include "src/obs/flight.h"
 #include "src/obs/slo.h"
@@ -43,6 +42,64 @@ Status AppendFully(File* file, std::span<const uint8_t> bytes) {
 }
 
 }  // namespace
+
+const SegmentStoreBackend::PageRef* SegmentStoreBackend::PageIndex::Find(
+    LogOffset local) const {
+  auto it = chunks_.find(local >> kChunkBits);
+  if (it == chunks_.end()) {
+    return nullptr;
+  }
+  const PageRef& ref = it->second->slots[local & (kChunkSlots - 1)];
+  return ref.record_len == 0 ? nullptr : &ref;
+}
+
+void SegmentStoreBackend::PageIndex::Insert(LogOffset local,
+                                            const PageRef& ref) {
+  std::unique_ptr<Chunk>& chunk = chunks_[local >> kChunkBits];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<Chunk>();
+  }
+  chunk->slots[local & (kChunkSlots - 1)] = ref;
+  ++chunk->live;
+  ++size_;
+}
+
+SegmentStoreBackend::PageRef SegmentStoreBackend::PageIndex::Erase(
+    LogOffset local) {
+  auto it = chunks_.find(local >> kChunkBits);
+  if (it == chunks_.end()) {
+    return PageRef{};
+  }
+  PageRef& slot = it->second->slots[local & (kChunkSlots - 1)];
+  PageRef ref = slot;
+  if (ref.record_len != 0) {
+    slot = PageRef{};
+    --size_;
+    if (--it->second->live == 0) {
+      chunks_.erase(it);
+    }
+  }
+  return ref;
+}
+
+template <typename Fn>
+void SegmentStoreBackend::PageIndex::EraseBelow(LogOffset limit, Fn fn) {
+  for (auto it = chunks_.begin();
+       it != chunks_.end() && (it->first << kChunkBits) < limit;) {
+    const LogOffset base = it->first << kChunkBits;
+    const LogOffset end = std::min(kChunkSlots, limit - base);
+    Chunk& chunk = *it->second;
+    for (LogOffset i = 0; i < end; ++i) {
+      if (chunk.slots[i].record_len != 0) {
+        fn(chunk.slots[i]);
+        chunk.slots[i] = PageRef{};
+        --chunk.live;
+        --size_;
+      }
+    }
+    it = chunk.live == 0 ? chunks_.erase(it) : std::next(it);
+  }
+}
 
 std::string SegmentStoreBackend::SegmentFileName(uint32_t id) {
   char buf[32];
@@ -229,12 +286,11 @@ Status SegmentStoreBackend::ApplyRecord(uint32_t segment, uint64_t record_off,
         local_tail_ = local + 1;
       }
       if (local < trim_prefix_ || trimmed_.contains(local) ||
-          pages_.contains(local)) {
+          pages_.Contains(local)) {
         break;  // dead or duplicate write; keep the first/live state
       }
-      pages_.emplace(local,
-                     PageRef{segment, record_off,
-                             static_cast<uint32_t>(record_len)});
+      pages_.Insert(local, PageRef{record_off, segment,
+                                   static_cast<uint32_t>(record_len)});
       ++segments_[segment].live_pages;
       ++recovery_.pages_recovered;
       break;
@@ -246,13 +302,12 @@ Status SegmentStoreBackend::ApplyRecord(uint32_t segment, uint64_t record_off,
       if (local < trim_prefix_) {
         break;
       }
-      auto it = pages_.find(local);
-      if (it != pages_.end()) {
-        --segments_[it->second.segment].live_pages;
-        pages_.erase(it);
+      PageRef ref = pages_.Erase(local);
+      if (ref.record_len != 0) {
+        --segments_[ref.segment].live_pages;
         ++trimmed_count_;
       }
-      trimmed_[local] = true;
+      trimmed_.insert(local);
       break;
     }
     case kRecTrimPrefix:
@@ -272,12 +327,11 @@ Status SegmentStoreBackend::ApplyRecord(uint32_t segment, uint64_t record_off,
         if (o < trim_prefix_) {
           continue;
         }
-        auto it = pages_.find(o);
-        if (it != pages_.end()) {
-          --segments_[it->second.segment].live_pages;
-          pages_.erase(it);
+        PageRef ref = pages_.Erase(o);
+        if (ref.record_len != 0) {
+          --segments_[ref.segment].live_pages;
         }
-        trimmed_[o] = true;
+        trimmed_.insert(o);
       }
       if (!r.ok()) {
         return Status(StatusCode::kInternal, "malformed checkpoint record");
@@ -294,22 +348,11 @@ void SegmentStoreBackend::ApplyTrimPrefixLocked(LogOffset limit) {
   if (limit <= trim_prefix_) {
     return;
   }
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (it->first < limit) {
-      --segments_[it->second.segment].live_pages;
-      ++trimmed_count_;
-      it = pages_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = trimmed_.begin(); it != trimmed_.end();) {
-    if (it->first < limit) {
-      it = trimmed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  pages_.EraseBelow(limit, [&](const PageRef& ref) {
+    --segments_[ref.segment].live_pages;
+    ++trimmed_count_;
+  });
+  trimmed_.erase(trimmed_.begin(), trimmed_.lower_bound(limit));
   trim_prefix_ = limit;
 }
 
@@ -357,7 +400,7 @@ uint64_t SegmentStoreBackend::AdmitRecordLocked(
 
   Segment& active = segments_[active_id_];
   if (ref != nullptr) {
-    *ref = PageRef{active_id_, active.end,
+    *ref = PageRef{active.end, active_id_,
                    static_cast<uint32_t>(kFrameHeader + len)};
   }
   ByteWriter frame(kFrameHeader);
@@ -504,8 +547,7 @@ void SegmentStoreBackend::MaybeGcLocked(std::unique_lock<std::mutex>& lk) {
   snap.PutU64(local_tail_);
   snap.PutU64(trimmed_count_);
   snap.PutU32(static_cast<uint32_t>(trimmed_.size()));
-  for (const auto& [o, v] : trimmed_) {
-    (void)v;
+  for (LogOffset o : trimmed_) {
     snap.PutU64(o);
   }
   size_t record_size = kFrameHeader + kBodyHeader + snap.size();
@@ -601,12 +643,12 @@ Status SegmentStoreBackend::Put(Epoch epoch, LogOffset local,
   if (local < trim_prefix_ || trimmed_.contains(local)) {
     return Status(StatusCode::kTrimmed);
   }
-  if (pages_.contains(local)) {
+  if (pages_.Contains(local)) {
     return Status(StatusCode::kWritten);
   }
   PageRef ref;
   uint64_t seq = AdmitRecordLocked(kRecWrite, epoch, local, bytes, &ref);
-  pages_.emplace(local, ref);
+  pages_.Insert(local, ref);
   ++segments_[ref.segment].live_pages;
   if (local + 1 > local_tail_) {
     local_tail_ = local + 1;
@@ -621,20 +663,20 @@ Result<std::vector<uint8_t>> SegmentStoreBackend::Get(Epoch epoch,
   if (local < trim_prefix_ || trimmed_.contains(local)) {
     return Status(StatusCode::kTrimmed);
   }
-  auto it = pages_.find(local);
-  if (it == pages_.end()) {
+  const PageRef* ref = pages_.Find(local);
+  if (ref == nullptr) {
     return Status(StatusCode::kUnwritten);
   }
   if (!buf_.empty() || writer_active_) {
     TANGO_RETURN_IF_ERROR(FlushToSeqLocked(accepted_seq_, lk));
-    it = pages_.find(local);  // the lock was dropped; re-resolve
-    if (it == pages_.end()) {
+    ref = pages_.Find(local);  // the lock was dropped; re-resolve
+    if (ref == nullptr) {
       return Status(local < trim_prefix_ || trimmed_.contains(local)
                         ? StatusCode::kTrimmed
                         : StatusCode::kUnwritten);
     }
   }
-  return ReadPageLocked(it->second, local);
+  return ReadPageLocked(*ref, local);
 }
 
 Status SegmentStoreBackend::GetBatch(
@@ -646,12 +688,11 @@ Status SegmentStoreBackend::GetBatch(
   // lock, and a Put admitted meanwhile has a ref past the file's written
   // end.  Pages admitted after this point read as unwritten, which
   // linearizes the batch here.
-  std::vector<std::optional<PageRef>> refs;
+  std::vector<PageRef> refs;  // record_len 0: not written
   refs.reserve(locals.size());
   for (LogOffset local : locals) {
-    auto it = pages_.find(local);
-    refs.push_back(it == pages_.end() ? std::nullopt
-                                      : std::optional<PageRef>(it->second));
+    const PageRef* ref = pages_.Find(local);
+    refs.push_back(ref == nullptr ? PageRef{} : *ref);
   }
   if (!buf_.empty() || writer_active_) {
     TANGO_RETURN_IF_ERROR(FlushToSeqLocked(accepted_seq_, lk));
@@ -664,10 +705,10 @@ Status SegmentStoreBackend::GetBatch(
     // the resolved ref's segment.
     if (local < trim_prefix_ || trimmed_.contains(local)) {
       pages->emplace_back(Status(StatusCode::kTrimmed));
-    } else if (!refs[i].has_value()) {
+    } else if (refs[i].record_len == 0) {
       pages->emplace_back(Status(StatusCode::kUnwritten));
     } else {
-      pages->emplace_back(ReadPageLocked(*refs[i], local));
+      pages->emplace_back(ReadPageLocked(refs[i], local));
     }
   }
   return Status::Ok();
@@ -697,13 +738,12 @@ Status SegmentStoreBackend::Trim(Epoch epoch, LogOffset local) {
   if (local < trim_prefix_) {
     return Status::Ok();  // already gone
   }
-  auto it = pages_.find(local);
-  if (it != pages_.end()) {
-    --segments_[it->second.segment].live_pages;
-    pages_.erase(it);
+  PageRef ref = pages_.Erase(local);
+  if (ref.record_len != 0) {
+    --segments_[ref.segment].live_pages;
     ++trimmed_count_;
   }
-  trimmed_[local] = true;
+  trimmed_.insert(local);
   uint64_t seq = AdmitRecordLocked(kRecTrim, epoch, local, {}, nullptr);
   TANGO_RETURN_IF_ERROR(WaitDurableLocked(seq, lk));
   MaybeGcLocked(lk);

@@ -44,15 +44,16 @@
 #ifndef SRC_STORAGE_SEGMENT_STORE_H_
 #define SRC_STORAGE_SEGMENT_STORE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -142,9 +143,41 @@ class SegmentStoreBackend : public StorageBackend {
 
  private:
   struct PageRef {
-    uint32_t segment;
-    uint64_t record_off;  // offset of the frame header in the segment file
-    uint32_t record_len;  // full record size: frame header + body
+    uint64_t record_off = 0;  // offset of the frame header in the segment file
+    uint32_t segment = 0;
+    uint32_t record_len = 0;  // full record size: frame header + body; 0 in
+                              // an empty index slot (no record is that short)
+  };
+  static_assert(sizeof(PageRef) == 16);
+
+  // The page index: local offset -> PageRef, dense within fixed-size chunks
+  // of slots, so a page costs one 16-byte slot rather than a hash node, and a
+  // sparse offset costs one chunk, never a gap-sized allocation.  Chunks are
+  // keyed by local >> kChunkBits and freed once their last page goes.
+  class PageIndex {
+   public:
+    // The page's ref, or null.  Valid until the next mutation.
+    const PageRef* Find(LogOffset local) const;
+    bool Contains(LogOffset local) const { return Find(local) != nullptr; }
+    // `local` must not be indexed yet.
+    void Insert(LogOffset local, const PageRef& ref);
+    // Removes the page; returns its ref, or a ref with record_len 0 if absent.
+    PageRef Erase(LogOffset local);
+    // Removes every page below `limit`, calling fn(ref) for each.  Visits
+    // only the chunks below `limit`, so the cost is the trimmed range.
+    template <typename Fn>
+    void EraseBelow(LogOffset limit, Fn fn);
+    size_t size() const { return size_; }
+
+   private:
+    static constexpr int kChunkBits = 10;  // 1024 slots = 16 KiB per chunk
+    static constexpr LogOffset kChunkSlots = LogOffset{1} << kChunkBits;
+    struct Chunk {
+      std::array<PageRef, kChunkSlots> slots{};
+      uint32_t live = 0;
+    };
+    std::map<LogOffset, std::unique_ptr<Chunk>> chunks_;
+    size_t size_ = 0;
   };
 
   struct Segment {
@@ -202,9 +235,9 @@ class SegmentStoreBackend : public StorageBackend {
 
   // Durable state (mirrors MemoryBackend).
   Epoch sealed_epoch_ = 0;
-  std::unordered_map<LogOffset, PageRef> pages_;
+  PageIndex pages_;
   LogOffset trim_prefix_ = 0;
-  std::unordered_map<LogOffset, bool> trimmed_;
+  std::set<LogOffset> trimmed_;  // single trims at or above trim_prefix_
   LogOffset local_tail_ = 0;
   uint64_t trimmed_count_ = 0;
 

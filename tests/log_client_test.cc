@@ -12,6 +12,7 @@ namespace {
 using tango::StatusCode;
 using tango_test::Bytes;
 using tango_test::ClusterFixture;
+using tango_test::CounterValue;
 using tango_test::Str;
 
 class LogClientTest : public ClusterFixture {
@@ -149,6 +150,70 @@ TEST_F(LogClientTest, ReadRepairSeesLateWriter) {
   late_writer.join();
   ASSERT_TRUE(entry.ok());
   EXPECT_TRUE(entry->is_junk());
+}
+
+TEST_F(LogClientTest, ReadRepairWaitsOnOwnStalledWriteWithoutPolling) {
+  // The chain tail's write of offset 0 stalls for 200 ms.  A concurrent
+  // ReadRepair of that offset by the writing client waits on the write's
+  // completion and reads once more, instead of polling the tail every
+  // 200 us (hundreds of reads over the stall).
+  tango_test::FaultTransport faults(&transport_, /*seed=*/19);
+  CorfuClient::Options options;
+  options.hole_timeout_ms = 2000;
+  CorfuClient client(&faults, cluster_->options().projection_store_node,
+                     options);
+  const LogOffset offset = 0;  // the first append to a fresh log
+  faults.Delay(kStorageWrite, 200'000,
+               client.projection().ChainFor(offset).back());
+  const uint64_t polls_before = CounterValue("log.hole.polls");
+  const uint64_t waits_before = CounterValue("log.hole.completion_waits");
+
+  std::thread writer([&] {
+    auto appended = client.Append(Bytes("stalled"));
+    ASSERT_TRUE(appended.ok());
+    EXPECT_EQ(*appended, offset);
+  });
+  for (;;) {  // the offset is granted, so it is inside the tail
+    auto tail = client.CheckTail();
+    ASSERT_TRUE(tail.ok());
+    if (*tail > offset) {
+      break;
+    }
+    std::this_thread::yield();
+  }
+  const uint64_t reads_before = faults.calls(kStorageRead);
+  auto entry = client.ReadRepair(offset);
+  const uint64_t reads = faults.calls(kStorageRead) - reads_before;
+  writer.join();
+
+  EXPECT_LE(reads, 2u) << "the reader polled the stalled offset";
+  EXPECT_EQ(CounterValue("log.hole.polls") - polls_before, 0u);
+  EXPECT_EQ(CounterValue("log.hole.completion_waits") - waits_before, 1u);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  EXPECT_FALSE(entry->is_junk());
+  EXPECT_EQ(Str(entry->payload), "stalled");
+}
+
+TEST_F(LogClientTest, GrantedButUnwrittenTokenIsFilledAfterHoleTimeout) {
+  // A token granted to a writer that never writes (a crashed client) is not
+  // this client's: the reader polls, then fills after hole_timeout_ms.
+  const uint64_t fills_before = CounterValue("log.fills");
+  const uint64_t timeouts_before = CounterValue("log.hole_timeouts");
+  const uint64_t polls_before = CounterValue("log.hole.polls");
+  auto grant = SequencerNext(&transport_, client_->projection().sequencer,
+                             client_->projection().epoch, 1, {});
+  ASSERT_TRUE(grant.ok());
+  ASSERT_TRUE(client_->Append(Bytes("after-hole")).ok());
+
+  const uint64_t start_us = tango::NowMicros();
+  auto entry = client_->ReadRepair(grant->start);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_TRUE(entry->is_junk());
+  EXPECT_GE(tango::NowMicros() - start_us,
+            client_->options().hole_timeout_ms * 1000ull);
+  EXPECT_EQ(CounterValue("log.fills") - fills_before, 1u);
+  EXPECT_EQ(CounterValue("log.hole_timeouts") - timeouts_before, 1u);
+  EXPECT_GT(CounterValue("log.hole.polls") - polls_before, 0u);
 }
 
 TEST_F(LogClientTest, TrimSingle) {

@@ -36,10 +36,7 @@ using corfu::StreamStore;
 using tango::Status;
 using tango::StatusCode;
 using tango_test::Bytes;
-
-uint64_t CounterValue(const char* name) {
-  return tango::obs::MetricsRegistry::Default().GetCounter(name)->Value();
-}
+using tango_test::CounterValue;
 
 // --- Sequencer admission -----------------------------------------------
 

@@ -245,6 +245,86 @@ TEST_F(SegmentStoreTest, GcDeletesDeadSegmentsAndRecoveryHonorsCheckpoint) {
   EXPECT_EQ(*tail, 32u);
 }
 
+TEST_F(SegmentStoreTest, SparseOffsetsIndexReadTrimAndRecover) {
+  // Local offsets 0, 2^20 and 2^40: the page index is chunked, so each costs
+  // one chunk rather than an allocation spanning the gap.  They are written
+  // out of offset order, so recovery rebuilds from unordered records.
+  const LogOffset kMid = LogOffset{1} << 20;
+  const LogOffset kFar = LogOffset{1} << 40;
+  auto expect_page = [](SegmentStoreBackend& store, LogOffset o,
+                        const std::string& want) {
+    auto page = store.Get(0, o);
+    ASSERT_TRUE(page.ok()) << "offset " << o << ": "
+                           << page.status().ToString();
+    EXPECT_EQ(Str(*page), want);
+  };
+  auto expect_code = [](SegmentStoreBackend& store, LogOffset o,
+                        StatusCode code) {
+    EXPECT_EQ(store.Get(0, o).status().code(), code) << "offset " << o;
+  };
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_TRUE(store->Put(0, kFar, Bytes("far")).ok());
+    ASSERT_TRUE(store->Put(0, 0, Bytes("zero")).ok());
+    ASSERT_TRUE(store->Put(0, kMid + 1, Bytes("mid+1")).ok());
+    ASSERT_TRUE(store->Put(0, kMid, Bytes("mid")).ok());
+    EXPECT_EQ(store->Put(0, kMid, Bytes("again")).code(), StatusCode::kWritten);
+    EXPECT_EQ(store->PageCount(), 4u);
+    expect_page(*store, 0, "zero");
+    expect_page(*store, kMid, "mid");
+    expect_page(*store, kMid + 1, "mid+1");
+    expect_page(*store, kFar, "far");
+    expect_code(*store, 1, StatusCode::kUnwritten);
+    expect_code(*store, kMid - 1, StatusCode::kUnwritten);
+    expect_code(*store, kFar - 1, StatusCode::kUnwritten);
+    expect_code(*store, kFar + 1, StatusCode::kUnwritten);
+    std::vector<tango::Result<std::vector<uint8_t>>> batch;
+    ASSERT_TRUE(store->GetBatch(0, {kFar, 7, 0}, &batch).ok());
+    ASSERT_EQ(batch.size(), 3u);
+    EXPECT_EQ(Str(*batch[0]), "far");
+    EXPECT_EQ(batch[1].status().code(), StatusCode::kUnwritten);
+    EXPECT_EQ(Str(*batch[2]), "zero");
+  }
+  {
+    auto store = MustOpen(Opts());
+    EXPECT_EQ(store->recovery_stats().pages_recovered, 4u);
+    EXPECT_EQ(store->PageCount(), 4u);
+    expect_page(*store, 0, "zero");
+    expect_page(*store, kMid, "mid");
+    expect_page(*store, kFar, "far");
+    auto tail = store->LocalTail(0);
+    ASSERT_TRUE(tail.ok());
+    EXPECT_EQ(*tail, kFar + 1);
+
+    ASSERT_TRUE(store->Trim(0, kMid).ok());
+    expect_code(*store, kMid, StatusCode::kTrimmed);
+    EXPECT_EQ(store->PageCount(), 3u);
+    // Past 0, 2^20 and 2^20 + 1, short of 2^40.
+    ASSERT_TRUE(store->TrimPrefix(0, kMid + 2).ok());
+    EXPECT_EQ(store->PageCount(), 1u);
+    EXPECT_EQ(store->trimmed_count(), 3u);
+    expect_code(*store, 0, StatusCode::kTrimmed);
+    expect_code(*store, kMid + 1, StatusCode::kTrimmed);
+    expect_page(*store, kFar, "far");
+    EXPECT_EQ(store->Put(0, 5, Bytes("late")).code(), StatusCode::kTrimmed);
+  }
+  // Recovery replays the trims over the unordered writes.
+  auto store = MustOpen(Opts());
+  EXPECT_EQ(store->PageCount(), 1u);
+  EXPECT_EQ(store->trimmed_count(), 3u);
+  expect_code(*store, 0, StatusCode::kTrimmed);
+  expect_code(*store, kMid, StatusCode::kTrimmed);
+  expect_code(*store, kMid + 1, StatusCode::kTrimmed);
+  expect_page(*store, kFar, "far");
+  expect_code(*store, kFar + 1, StatusCode::kUnwritten);
+  // A trim-prefix past the last page empties the index.
+  ASSERT_TRUE(store->TrimPrefix(0, kFar + 1).ok());
+  EXPECT_EQ(store->PageCount(), 0u);
+  expect_code(*store, kFar, StatusCode::kTrimmed);
+  ASSERT_TRUE(store->Put(0, kFar + 1, Bytes("next")).ok());
+  expect_page(*store, kFar + 1, "next");
+}
+
 TEST_F(SegmentStoreTest, ShortWritesAreRetriedToCompletion) {
   FaultPlan plan;
   plan.seed = 42;

@@ -351,6 +351,11 @@ class FailNextAppendTransport : public Transport {
   Transport* inner_;
 };
 
+// Linearizable queries that found nothing to play.
+uint64_t AlreadyPlayed() {
+  return tango_test::CounterValue("runtime.query.already_played");
+}
+
 // A commit record whose generator "crashed" before its decision record:
 // reads key "key" of map 1 at `host`'s current version, writes c=orphan to
 // map 2.  Nobody appends a decision for it but a read-set host's fallback.
@@ -399,7 +404,11 @@ TEST_F(TxnTest, OrphanedCommitPatchedByReadSetHost) {
   // timeout, publishes the decision record on stream 2.
   ASSERT_TRUE(c_at_patcher.Get("c").ok());  // plays the commit
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  // Nothing was appended since, so the query takes the already-played path,
+  // which must still run the deadline check.
+  const uint64_t played_before = AlreadyPlayed();
   ASSERT_TRUE(patcher.QueryHelper(2).ok());  // deadline check runs here
+  EXPECT_EQ(AlreadyPlayed() - played_before, 1u);
   EXPECT_GE(patcher.stats().decisions_appended, 1u);
 
   // The partitioned consumer B unblocks via the patched decision.
@@ -434,7 +443,9 @@ TEST_F(TxnTest, FailedFallbackDecisionIsRetried) {
       patcher_client.AppendToStreams(OrphanedCommit(patcher), {2}).ok());
   ASSERT_TRUE(c_at_patcher.Get("c").ok());  // plays the commit
 
-  // First deadline: the decision append fails.
+  // First deadline: the decision append fails.  Both queries below find
+  // the view already played to the tail and take the lock-free path.
+  const uint64_t played_before = AlreadyPlayed();
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   faulty.fail_next_append.store(true);
   ASSERT_TRUE(patcher.QueryHelper(2).ok());
@@ -444,6 +455,7 @@ TEST_F(TxnTest, FailedFallbackDecisionIsRetried) {
   // Next deadline: the retry goes out and B resolves the transaction.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   ASSERT_TRUE(patcher.QueryHelper(2).ok());
+  EXPECT_EQ(AlreadyPlayed() - played_before, 2u);
   EXPECT_EQ(patcher.stats().decisions_appended, 1u);
   auto value = c_at_b.Get("c");
   ASSERT_TRUE(value.ok());
