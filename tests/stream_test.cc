@@ -4,6 +4,7 @@
 
 #include "src/corfu/stream.h"
 #include "src/util/random.h"
+#include "src/util/threading.h"
 #include "tests/test_env.h"
 
 namespace corfu {
@@ -173,6 +174,33 @@ TEST_F(StreamTest, HoleRepairDuringPlayback) {
   auto filled = client_->Read(grant->start);
   ASSERT_TRUE(filled.ok());
   EXPECT_TRUE(filled->is_junk());
+}
+
+TEST_F(StreamTest, PooledOwnTokenIsFilledAfterOneHoleTimeout) {
+  // The pipeline asks for two tokens for one append and pools the second,
+  // unwritten, until its next submission.  That offset is in the stream and
+  // is this client's, so playback waits on it, then fills it: one hole
+  // timeout in all, not one on the completion wait and another in
+  // ReadRepair.
+  CorfuClient::Options options;
+  options.hole_timeout_ms = 300;
+  options.pipeline.grant_batch = 2;
+  auto client = cluster_->MakeClient(options);
+  ASSERT_TRUE(client->AppendAsync(Bytes("a"), {1}).Wait().ok());
+  const uint64_t fills_before = tango_test::CounterValue("log.fills");
+  const uint64_t timeouts_before =
+      tango_test::CounterValue("log.hole_timeouts");
+
+  StreamStore store(client.get());
+  store.Open(1);
+  const uint64_t start_us = tango::NowMicros();
+  EXPECT_EQ(Drain(store, 1), (std::vector<std::string>{"a"}));
+  const uint64_t elapsed_us = tango::NowMicros() - start_us;
+  EXPECT_GE(elapsed_us, 300'000u);
+  EXPECT_LT(elapsed_us, 450'000u) << "the hole timeout was waited twice";
+  EXPECT_EQ(tango_test::CounterValue("log.fills") - fills_before, 1u);
+  EXPECT_EQ(tango_test::CounterValue("log.hole_timeouts") - timeouts_before,
+            1u);
 }
 
 TEST_F(StreamTest, ColdReaderFallsBackAcrossJunk) {
