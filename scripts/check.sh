@@ -26,11 +26,11 @@ EOF
 
 echo "== transport smoke: fig_transport small sweep + JSON sanity =="
 # The full 36/1k/10k sweep is a longer run (see BENCH_transport.json); the
-# smoke keeps the child-fleet plumbing and the mux-vs-baseline comparison
+# smoke keeps the child-fleet plumbing and the bounded server thread count
 # honest at small connection counts.  Raise the fd limit for the fleets.
 cmake --build "$ROOT/build" -j "$JOBS" --target fig_transport
 ulimit -n "$(ulimit -Hn)" || true
-"$ROOT/build/bench/fig_transport" --conns=36,200 --baseline-conns=36 \
+"$ROOT/build/bench/fig_transport" --conns=36,200 \
   --duration-ms=300 --json="$ROOT/build/bench-transport-smoke.json"
 python3 - "$ROOT/build/bench-transport-smoke.json" <<'EOF'
 import json, sys

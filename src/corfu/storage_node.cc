@@ -101,6 +101,21 @@ void StorageNode::SimulateMedia(uint32_t latency_us) {
 
 Status StorageNode::WriteLocal(Epoch epoch, LogOffset local,
                                std::vector<uint8_t> bytes) {
+  return Write(epoch, local, bytes, nullptr);
+}
+
+Status StorageNode::CountWrite(Status s) {
+  if (s.ok()) {
+    writes_ok_->Add();
+  } else if (s.code() == StatusCode::kWritten) {
+    writes_lost_->Add();
+  }
+  return s;
+}
+
+Status StorageNode::Write(Epoch epoch, LogOffset local,
+                          std::span<const uint8_t> bytes,
+                          const ByteReader* req) {
   if (bytes.size() > options_.page_size) {
     return Status(StatusCode::kInvalidArgument, "entry exceeds page size");
   }
@@ -131,15 +146,22 @@ Status StorageNode::WriteLocal(Epoch epoch, LogOffset local,
     return Status::Busy(static_cast<uint32_t>(hint), "storage node overloaded");
   }
   SimulateMedia(options_.write_latency_us);
-  Status s = backend_->Put(epoch, local, bytes);
-  if (!s.ok()) {
-    if (s.code() == StatusCode::kWritten) {
-      writes_lost_->Add();
-    }
-    return s;
+  if (req == nullptr) {
+    return CountWrite(backend_->Put(epoch, local, bytes));
   }
-  writes_ok_->Add();
-  return Status::Ok();
+  // A handler call: when the ack has to wait for an fsync, the reply goes out
+  // from the backend's flusher instead of blocking this thread.  Over
+  // InProcTransport DeferReply is null and the ack waits inline.
+  using AckCallback = storage::StorageBackend::AckCallback;
+  std::optional<Status> s = backend_->PutOrPark(
+      epoch, local, bytes, [this, req]() -> AckCallback {
+        std::shared_ptr<tango::DeferredReply> reply = tango::DeferReply(*req);
+        if (reply == nullptr) {
+          return nullptr;
+        }
+        return [this, reply](Status st) { reply->Complete(CountWrite(st)); };
+      });
+  return s.has_value() ? CountWrite(*s) : Status::Ok();
 }
 
 Result<std::vector<uint8_t>> StorageNode::ReadLocal(Epoch epoch,
@@ -221,7 +243,7 @@ Status StorageNode::HandleWrite(ByteReader& req, ByteWriter& /*resp*/) {
   if (!req.ok()) {
     return Status(StatusCode::kInvalidArgument, "malformed write");
   }
-  return WriteLocal(epoch, local, std::move(bytes));
+  return Write(epoch, local, bytes, &req);
 }
 
 Status StorageNode::HandleRead(ByteReader& req, ByteWriter& resp) {

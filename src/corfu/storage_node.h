@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,15 @@ class StorageNode {
   uint64_t trimmed_count() const;
 
  private:
+  // WriteLocal's body.  `req`, set for a write served over RPC, lets the
+  // ack defer its reply rather than wait for an fsync on the handler's
+  // thread (see StorageBackend::PutOrPark).
+  tango::Status Write(Epoch epoch, LogOffset local,
+                      std::span<const uint8_t> bytes,
+                      const tango::ByteReader* req);
+  // Counts a write's outcome and returns it.
+  tango::Status CountWrite(tango::Status s);
+
   tango::Status HandleWrite(tango::ByteReader& req, tango::ByteWriter& resp);
   tango::Status HandleRead(tango::ByteReader& req, tango::ByteWriter& resp);
   tango::Status HandleReadBatch(tango::ByteReader& req,

@@ -9,8 +9,9 @@
 // This is the I/O substrate of the multiplexed TcpTransport (every listener,
 // server connection and client connection of a transport shares one loop)
 // and of the raw-socket client fleets in bench/fig_transport.  The loop
-// must never block: callbacks do nonblocking I/O and hand anything slow
-// (RPC handlers, fsync) to an Executor.
+// must never block: callbacks do nonblocking I/O, and an RPC handler that
+// has to wait (for an fsync, say) defers its reply and completes it from
+// another thread, which posts it back here.
 //
 // Level-triggered semantics: a callback receives the epoll event mask and is
 // re-invoked while the condition holds, so partial reads/writes are safe.

@@ -16,13 +16,18 @@
 // Architecture: one EventLoop thread per transport owns every socket —
 // listeners, accepted server connections, and cached client connections.
 // All socket I/O is nonblocking with per-connection read/write buffers and
-// incremental framing; nothing on the loop ever blocks.  Decoded requests
-// are dispatched to a fixed-size handler Executor (handlers may block on
-// fsync etc.), and completed responses are staged back to the loop for
-// writing.  Client-side, Call() assigns a correlation id, enqueues its frame
-// on the shared per-destination connection, and parks on a notification until
-// the loop demuxes the matching response — so 10k concurrent callers cost
-// 10k sockets, not 10k threads.
+// incremental framing.  Every handler runs inline on the loop thread: the
+// requests of one read batch are served in order, their responses framed
+// straight into the connection's out buffer, and sent with one send(2).  A
+// handler must therefore never block; one that has to wait (a storage write
+// whose ack waits for an fsync) takes its reply with DeferReply and
+// completes it later from any thread, which posts the framed reply to the
+// loop.  A handler must not Call its own transport (the loop could never
+// deliver the reply): such a call fails with kFailedPrecondition.
+// Client-side, Call() assigns a correlation id, enqueues its frame on the
+// shared per-destination connection, and parks on a notification until the
+// loop demuxes the matching response — so 10k concurrent callers cost 10k
+// sockets, not 10k threads.
 //
 // Timeouts: Options::call_timeout_ms bounds each Call end to end (connect
 // included).  A timed-out call abandons its correlation id but leaves the
@@ -46,7 +51,6 @@
 namespace tango {
 
 class EventLoop;
-class Executor;
 
 class TcpTransport : public Transport {
  public:
@@ -55,14 +59,6 @@ class TcpTransport : public Transport {
     // server round trip: a hung or unreachable peer surfaces as kTimeout
     // instead of blocking the caller forever.  0 = block indefinitely.
     uint32_t call_timeout_ms = 0;
-
-    // Worker threads executing RPC handlers (handlers may block, so they
-    // never run on the event loop).  0 = max(4, hardware_concurrency).
-    // -1 = inline mode: handlers run directly on the loop thread, removing
-    // the per-request executor handoff.  Only for handlers that NEVER block
-    // (e.g. a pure in-memory sequencer); a blocking inline handler stalls
-    // every connection on the transport.
-    int handler_threads = 0;
   };
 
   TcpTransport() : TcpTransport(Options{}) {}
@@ -81,8 +77,9 @@ class TcpTransport : public Transport {
   // Re-registering a node replaces its listener (new port unless pinned).
   void RegisterNode(NodeId node, RpcHandler handler) override;
 
-  // Stops the listener and waits for in-flight handlers: once this returns,
-  // `handler` is not executing and will never be invoked again.
+  // Stops the listener and waits for the deferred replies its handler took:
+  // once this returns, `handler` is not executing, will never be invoked
+  // again, and every reply it deferred has completed.
   void UnregisterNode(NodeId node) override;
 
   // Maps a node id to an explicit host:port (for cross-process setups).
@@ -108,6 +105,7 @@ class TcpTransport : public Transport {
   struct Listener;
   struct ServerConn;
   struct ClientConn;
+  class ServerReply;
 
   Result<std::shared_ptr<ClientConn>> GetConnection(NodeId dest);
   // Evicts `conn` from the cache iff it is still the cached entry for
@@ -115,12 +113,8 @@ class TcpTransport : public Transport {
   void DropConnectionIfSame(NodeId dest, const ClientConn* conn);
   void ShutdownListener(const std::shared_ptr<Listener>& listener);
 
-  const int handler_threads_opt_;
   std::atomic<uint32_t> call_timeout_ms_{0};
-  // Declared before handlers_ so it is destroyed after: draining handler
-  // tasks may still post response flushes to the loop.
   std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<Executor> handlers_;  // created at first RegisterNode
 
   mutable std::mutex mu_;
   std::unordered_map<NodeId, std::shared_ptr<Listener>> listeners_;

@@ -35,9 +35,46 @@ inline constexpr NodeId kInvalidNodeId = 0xffffffffu;
 
 // A service handler: decodes the request from `req`, encodes the reply into
 // `resp`, and returns the RPC-level status.  The returned status travels back
-// to the caller verbatim; `resp` contents are delivered only when OK.
+// to the caller verbatim; `resp` contents are delivered only when OK.  A
+// handler that must wait for something (an fsync) takes its reply with
+// DeferReply instead of blocking.
 using RpcHandler =
     std::function<Status(uint16_t method, ByteReader& req, ByteWriter& resp)>;
+
+// A reply its handler sends after returning (see DeferReply).
+class DeferredReply {
+ public:
+  virtual ~DeferredReply() = default;
+  // Sends `status`, and `payload` when it is OK.  Call at most once, from any
+  // thread; a reply destroyed without it sends kUnavailable.
+  virtual void Complete(const Status& status,
+                        std::span<const uint8_t> payload = {}) = 0;
+};
+
+namespace internal {
+// Installed by a transport around a handler call whose reply it can defer.
+struct ReplySlot {
+  const ByteReader* req = nullptr;  // the call's request
+  virtual std::unique_ptr<DeferredReply> Take() = 0;
+
+ protected:
+  ~ReplySlot() = default;
+};
+inline thread_local ReplySlot* tl_reply_slot = nullptr;
+}  // namespace internal
+
+// Called inside an RpcHandler: takes the reply to the call whose request is
+// `req`, so the transport sends nothing when the handler returns (its status
+// and `resp` are ignored) and the handler completes the reply later.  Null
+// when the serving transport replies only on return (InProcTransport runs
+// the handler on the caller's thread): the handler then finishes inline.
+inline std::unique_ptr<DeferredReply> DeferReply(const ByteReader& req) {
+  internal::ReplySlot* slot = internal::tl_reply_slot;
+  if (slot == nullptr || slot->req != &req) {
+    return nullptr;
+  }
+  return slot->Take();
+}
 
 class Transport {
  public:

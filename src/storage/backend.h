@@ -19,11 +19,15 @@
 //   - A durable backend's Put returns only once the record is recoverable
 //     after a process kill (handed to the kernel); fsync batching governs
 //     the media-loss window, and Sync() forces it closed.
+//   - PutOrPark is Put for a caller that must not wait for an fsync; the
+//     engine may keep its ack and complete it from its own thread.
 
 #ifndef SRC_STORAGE_BACKEND_H_
 #define SRC_STORAGE_BACKEND_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -45,6 +49,23 @@ class StorageBackend {
   // but keeps serving reads).
   virtual tango::Status Put(Epoch epoch, LogOffset local,
                             std::span<const uint8_t> bytes) = 0;
+
+  // Completes a parked write ack with the status Put would have returned.
+  using AckCallback = std::function<void(tango::Status)>;
+
+  // Put for a caller that must not wait for an fsync, such as an RPC handler
+  // on an event loop.  When the ack has to wait for one and the engine runs
+  // fsyncs in the background, the engine calls `park` once, under its lock,
+  // for the callback that completes the ack, keeps that callback, and
+  // returns nullopt; the callback then runs exactly once, from another
+  // thread.  When `park` is empty or returns an empty callback, the ack
+  // waits inline as in Put.  Engines that never wait for an fsync keep this
+  // default.
+  virtual std::optional<tango::Status> PutOrPark(
+      Epoch epoch, LogOffset local, std::span<const uint8_t> bytes,
+      const std::function<AckCallback()>& /*park*/) {
+    return Put(epoch, local, bytes);
+  }
 
   // kUnwritten / kTrimmed / kSealedEpoch as per the protocol.  Corrupt
   // on-media records are never served: they read as kUnwritten (the chain's

@@ -17,11 +17,16 @@
 // lock.  One thread at a time drains the buffer with a single write(2)
 // (group flush — concurrent appenders share the syscall) and one thread at
 // a time fsyncs (group commit — an fsync covers every record written before
-// it).  `fsync_batch` N batches fsyncs: an append is acked once its bytes
-// reach the kernel (crash-consistent against kill -9) and the store fsyncs
-// every Nth record (bounding the power-loss window); N=1 fsyncs every
-// append.  A background flusher closes the window by time as well.  Seals
-// always fsync — fencing must not be reorderable with a power cut.
+// it).  An append is acked once its bytes reach the kernel (crash-consistent
+// against kill -9).  `fsync_batch` N bounds the power-loss window: acked but
+// unsynced records never reach N, so an ack that would make them N waits
+// for an fsync covering its record (N=1 fsyncs every append).  The
+// background flusher keeps that wait rare: once N/2 records are written but
+// unsynced it fsyncs ahead of the window, and it closes the window by time.
+// A PutOrPark caller that finds the window full parks its ack with the
+// flusher instead of fsyncing on its own thread; an in-proc Put fsyncs
+// inline.  Seals and segment rolls always fsync on the calling thread —
+// fencing must not be reorderable with a power cut.
 //
 // Recovery: Open scans the segments in order, replaying records to rebuild
 // the page index, sealed epoch, trim state and local tail.  A short or
@@ -69,10 +74,12 @@ struct SegmentStoreOptions {
   FileSystem* fs = nullptr;
   // Roll to a new segment file once the active one reaches this size.
   uint64_t segment_bytes = 8ull << 20;
-  // fsync every Nth record (group commit); 1 = every record.  Acks are
-  // kill-9-safe at any setting; N bounds the media-power-loss window.
+  // Acked but unsynced records stay below N (group commit); 1 = fsync every
+  // record.  Acks are kill-9-safe at any setting; N bounds the
+  // media-power-loss window.
   uint32_t fsync_batch = 64;
-  // Background flush+fsync cadence in ms; 0 disables the thread.
+  // Background flush+fsync cadence in ms; 0 disables the thread, and with it
+  // fsync-ahead and parked acks.
   uint32_t flush_interval_ms = 20;
   // Backpressure: bound on bytes sitting in the group write buffer (admitted
   // but not yet handed to the kernel).  Once exceeded, Put sheds with kBusy
@@ -105,6 +112,9 @@ class SegmentStoreBackend : public StorageBackend {
 
   tango::Status Put(Epoch epoch, LogOffset local,
                     std::span<const uint8_t> bytes) override;
+  std::optional<tango::Status> PutOrPark(
+      Epoch epoch, LogOffset local, std::span<const uint8_t> bytes,
+      const std::function<AckCallback()>& park) override;
   tango::Result<std::vector<uint8_t>> Get(Epoch epoch,
                                           LogOffset local) override;
   tango::Status GetBatch(
@@ -214,9 +224,21 @@ class SegmentStoreBackend : public StorageBackend {
   tango::Status FlushToSeqLocked(uint64_t seq, std::unique_lock<std::mutex>& lk);
   // Group commit: returns once every record up to `seq` is fsynced.
   tango::Status SyncToSeqLocked(uint64_t seq, std::unique_lock<std::mutex>& lk);
-  // Applies the fsync-batch policy after a flush.
-  tango::Status WaitDurableLocked(uint64_t seq,
-                                  std::unique_lock<std::mutex>& lk);
+  // Flushes record `seq` and applies the fsync-batch window to its ack:
+  // nullopt means the ack was parked (see PutOrPark).
+  std::optional<tango::Status> WaitDurableLocked(
+      uint64_t seq, std::unique_lock<std::mutex>& lk,
+      const std::function<AckCallback()>& park);
+  // Whether acking `seq` now keeps acked-but-unsynced records below
+  // fsync_batch.
+  bool WindowHasRoomLocked(uint64_t seq) const;
+  // Wakes the flusher for an fsync round.
+  void KickFlusherLocked();
+  // Runs the parked acks an fsync now covers (all of them, with
+  // kUnavailable, once the store has failed).  Drops the lock to run them.
+  void CompleteParkedLocked(std::unique_lock<std::mutex>& lk);
+  // Enters fail-stop after a media error.
+  void FailStopLocked(const char* what, const tango::Status& s);
   // Rolls to a fresh segment (flushes + fsyncs the old one).
   tango::Status RollSegmentLocked(std::unique_lock<std::mutex>& lk);
   // Deletes sealed segments with zero live pages (after a checkpoint).
@@ -250,6 +272,7 @@ class SegmentStoreBackend : public StorageBackend {
   uint64_t accepted_seq_ = 0;  // records admitted
   uint64_t written_seq_ = 0;   // records handed to the kernel
   uint64_t synced_seq_ = 0;    // records fsynced
+  uint64_t acked_seq_ = 0;     // highest record acked
   bool writer_active_ = false;
   bool syncer_active_ = false;
   bool rolling_ = false;  // a roll is switching the active segment
@@ -261,11 +284,13 @@ class SegmentStoreBackend : public StorageBackend {
   std::atomic<uint64_t> gc_deleted_{0};
   std::atomic<uint64_t> corrupt_reads_{0};
 
-  // Background flusher.
+  // Background flusher; its state is guarded by mu_.
   std::thread flusher_;
-  std::mutex flusher_mu_;
   std::condition_variable flusher_cv_;
   bool stop_flusher_ = false;
+  bool sync_wanted_ = false;  // a kick is pending
+  // Acks waiting for an fsync to cover their record seq.
+  std::vector<std::pair<uint64_t, AckCallback>> parked_;
 
   // Registry instruments (process-wide).
   tango::obs::Counter* m_records_;
@@ -276,6 +301,7 @@ class SegmentStoreBackend : public StorageBackend {
   tango::obs::Counter* m_corrupt_;
   tango::obs::Counter* m_failstop_;
   tango::obs::Counter* m_wbuf_shed_;
+  tango::obs::Counter* m_window_waits_;
   tango::obs::Gauge* m_wbuf_bytes_;
 };
 

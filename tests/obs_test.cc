@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -416,13 +418,20 @@ TEST(SamplingTest, ConcurrentTcpCallsPropagateContextCleanly) {
 // trace envelopes.
 TEST(SamplingTest, OutOfOrderMultiplexedResponsesKeepTracesIntact) {
   ScopedTracer tracer;
+  // Handlers run on the transport's loop, so the delayed replies are
+  // deferred and completed from helper threads (joined after the transport).
+  std::mutex helpers_mu;
+  std::vector<std::jthread> helpers;
   TcpTransport transport;
-  transport.RegisterNode(9, [](uint16_t, ByteReader& req, ByteWriter& resp) {
+  transport.RegisterNode(9, [&](uint16_t, ByteReader& req, ByteWriter& resp) {
     uint32_t delay_ms = req.GetU32();
-    if (delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-    }
     resp.PutU32(delay_ms);
+    std::shared_ptr<DeferredReply> reply = DeferReply(req);
+    std::lock_guard<std::mutex> lock(helpers_mu);
+    helpers.emplace_back([reply, delay_ms, bytes = resp.bytes()] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      reply->Complete(Status::Ok(), bytes);
+    });
     return Status::Ok();
   });
 
