@@ -3,8 +3,8 @@
 //
 // The thread-per-connection transport this replaced fell over long before 1k
 // connections (one OS thread each; its 36-connection number, 102K req/s, is
-// kept in BENCH_transport.json); the multiplexed epoll transport holds every
-// connection on one loop thread, which also runs every handler.  The shape
+// kept in BENCH_transport.json); the epoll server holds every connection on
+// one loop thread, which also runs every handler.  The shape
 // to verify: the server sustains the 10k cell with bounded threads.
 //
 // Each cell forks client fleets out of this same binary (--child mode) so the
@@ -12,18 +12,26 @@
 // child drives up to 2500 closed-loop raw-socket clients off a private epoll
 // loop, speaking the v2 wire format (see src/net/tcp_transport.h) directly.
 // --json=FILE dumps the sweep plus the acceptance block (BENCH_transport.json).
+//
+// Before the sweep, an RTT cell times one closed-loop caller against a server
+// in a child process: TcpTransport::Call next to a raw blocking-socket
+// ping-pong carrying the same bytes each way, the floor any transport pays
+// for a loopback round trip.  Each side reports p50 and p99 per repetition.
 
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <csignal>
+#include <thread>
 
 #include "bench/bench_common.h"
 #include "src/corfu/sequencer.h"
@@ -37,6 +45,17 @@ namespace {
 constexpr int kMaxConnsPerChild = 2500;
 constexpr int kConnectWindow = 512;   // outstanding nonblocking connects
 constexpr int kConnectDeadlineMs = 20000;
+
+// RTT cell: timed calls per repetition, repetitions, and the wire bytes of
+// one call — a v2 frame around a 16-byte payload each way, about the size of
+// a sequencer tail check.
+constexpr int kRttCalls = 10000;
+constexpr int kRttWarmupCalls = 1000;
+constexpr int kRttReps = 5;
+constexpr tango::NodeId kRttNode = 1;
+constexpr size_t kRttPayload = 16;
+constexpr size_t kRawRequestBytes = 4 + 8 + 2 + 8 + 8 + kRttPayload;
+constexpr size_t kRawResponseBytes = 4 + 8 + 1 + 4 + kRttPayload;
 
 void RaiseFdLimit() {
   struct rlimit rl;
@@ -361,6 +380,75 @@ int RunChild(const Flags& flags) {
   return 0;
 }
 
+// --- rtt-server mode: the far end of the RTT cell.
+
+bool RecvFull(int fd, uint8_t* p, size_t n) {
+  while (n > 0) {
+    ssize_t got = recv(fd, p, n, 0);
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got <= 0) {
+      return false;
+    }
+    p += got;
+    n -= static_cast<size_t>(got);
+  }
+  return true;
+}
+
+// Serves an echo node on a TcpTransport and a raw blocking ping-pong socket,
+// prints both ports, and runs until the parent kills it.
+int RunRttServer() {
+  prctl(PR_SET_PDEATHSIG, SIGKILL);
+  tango::TcpTransport transport;
+  transport.RegisterNode(
+      kRttNode, [](uint16_t, tango::ByteReader& req, tango::ByteWriter& resp) {
+        resp.PutU64(req.GetU64());
+        resp.PutU64(req.GetU64());
+        return tango::Status::Ok();
+      });
+
+  int lfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (lfd < 0 ||
+      bind(lfd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      listen(lfd, 4) != 0 ||
+      getsockname(lfd, reinterpret_cast<struct sockaddr*>(&addr), &len) != 0) {
+    std::fprintf(stderr, "rtt-server: raw listener: %s\n",
+                 std::strerror(errno));
+    return 1;
+  }
+  std::printf("RTT_SERVER pid=%d transport_port=%u raw_port=%u\n",
+              static_cast<int>(getpid()), transport.LocalPort(kRttNode),
+              static_cast<unsigned>(ntohs(addr.sin_port)));
+  std::fflush(stdout);
+
+  // One raw connection at a time: each repetition opens its own.
+  while (true) {
+    int fd = accept4(lfd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return 1;
+    }
+    int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    uint8_t req[kRawRequestBytes];
+    uint8_t resp[kRawResponseBytes] = {};
+    while (RecvFull(fd, req, sizeof(req)) &&
+           send(fd, resp, sizeof(resp), MSG_NOSIGNAL) ==
+               static_cast<ssize_t>(sizeof(resp))) {
+    }
+    close(fd);
+  }
+}
+
 // --- parent mode: server + child fleets + the sweep itself.
 
 struct Cell {
@@ -403,6 +491,145 @@ std::string SelfExePath() {
   }
   buf[n] = '\0';
   return std::string(buf);
+}
+
+// --- parent side of the RTT cell.
+
+struct RttSide {
+  std::vector<double> p50_us;  // one per repetition
+  std::vector<double> p99_us;
+};
+
+struct RttCell {
+  RttSide raw;
+  RttSide transport;
+};
+
+// Times `kRttCalls` round trips of `one_call` after a warmup, and appends
+// their p50 and p99 to `side`.  Returns false if a call failed.
+template <typename Fn>
+bool TimeRoundTrips(RttSide* side, Fn one_call) {
+  for (int i = 0; i < kRttWarmupCalls; ++i) {
+    if (!one_call()) {
+      return false;
+    }
+  }
+  std::vector<uint64_t> ns(kRttCalls);
+  for (uint64_t& sample : ns) {
+    uint64_t start = tango::NowNanos();
+    if (!one_call()) {
+      return false;
+    }
+    sample = tango::NowNanos() - start;
+  }
+  std::sort(ns.begin(), ns.end());
+  side->p50_us.push_back(static_cast<double>(ns[ns.size() / 2]) / 1000.0);
+  side->p99_us.push_back(static_cast<double>(ns[ns.size() * 99 / 100]) /
+                         1000.0);
+  return true;
+}
+
+bool RawRoundTrips(uint16_t port, RttSide* side) {
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (fd < 0 ||
+      connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
+          0) {
+    if (fd >= 0) {
+      close(fd);
+    }
+    return false;
+  }
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  uint8_t req[kRawRequestBytes] = {};
+  uint8_t resp[kRawResponseBytes];
+  bool ok = TimeRoundTrips(side, [&] {
+    return send(fd, req, sizeof(req), MSG_NOSIGNAL) ==
+               static_cast<ssize_t>(sizeof(req)) &&
+           RecvFull(fd, resp, sizeof(resp));
+  });
+  close(fd);
+  return ok;
+}
+
+bool TransportRoundTrips(uint16_t port, RttSide* side) {
+  tango::TcpTransport transport;
+  transport.AddRoute(kRttNode, "127.0.0.1", port);
+  std::vector<uint8_t> request(kRttPayload, 0x5a);
+  std::vector<uint8_t> response;
+  return TimeRoundTrips(side, [&] {
+    return transport.Call(kRttNode, 0, request, &response).ok() &&
+           response.size() == kRttPayload;
+  });
+}
+
+// Starts the RTT server child, then alternates raw and transport
+// repetitions against it.  Returns false if any repetition failed.
+bool RunRttCell(RttCell* cell) {
+  const std::string cmd = "exec '" + SelfExePath() + "' --rtt-server=1";
+  FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) {
+    std::fprintf(stderr, "popen failed for the rtt server\n");
+    return false;
+  }
+  int pid = 0;
+  unsigned transport_port = 0, raw_port = 0;
+  char line[256];
+  bool ok = std::fgets(line, sizeof(line), p) != nullptr &&
+            std::sscanf(line, "RTT_SERVER pid=%d transport_port=%u raw_port=%u",
+                        &pid, &transport_port, &raw_port) == 3;
+  for (int rep = 0; ok && rep < kRttReps; ++rep) {
+    ok = RawRoundTrips(static_cast<uint16_t>(raw_port), &cell->raw) &&
+         TransportRoundTrips(static_cast<uint16_t>(transport_port),
+                             &cell->transport);
+  }
+  if (pid > 0) {
+    kill(pid, SIGKILL);
+  }
+  pclose(p);
+  return ok;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Median, min and max over repetitions, as table cells.
+std::vector<std::string> SpreadCells(const std::vector<double>& v) {
+  return {Fmt(Median(v)), Fmt(*std::min_element(v.begin(), v.end())),
+          Fmt(*std::max_element(v.begin(), v.end()))};
+}
+
+void PrintRttRow(const char* path, const RttSide& side) {
+  std::vector<std::string> row = {path};
+  for (const auto* v : {&side.p50_us, &side.p99_us}) {
+    std::vector<std::string> cells = SpreadCells(*v);
+    row.insert(row.end(), cells.begin(), cells.end());
+  }
+  PrintRow(row);
+}
+
+void WriteRttSide(FILE* f, const char* name, const RttSide& side,
+                  const char* sep) {
+  auto list = [&](const std::vector<double>& v) {
+    std::string out;
+    for (size_t i = 0; i < v.size(); ++i) {
+      out += (i == 0 ? "" : ", ") + Fmt(v[i]);
+    }
+    return out;
+  };
+  std::fprintf(f,
+               "    \"%s\": {\"p50_us\": [%s], \"p99_us\": [%s], "
+               "\"p50_us_median\": %s, \"p99_us_median\": %s}%s\n",
+               name, list(side.p50_us).c_str(), list(side.p99_us).c_str(),
+               Fmt(Median(side.p50_us)).c_str(),
+               Fmt(Median(side.p99_us)).c_str(), sep);
 }
 
 Cell RunCellOnce(const char* mode, int conns, int duration_ms, uint16_t port) {
@@ -493,7 +720,20 @@ void Run(const Flags& flags) {
     std::exit(2);
   }
 
-  std::printf("Transport sweep: sequencer Kreq/s vs TCP connections\n\n");
+  RttCell rtt;
+  if (!RunRttCell(&rtt)) {
+    std::fprintf(stderr, "rtt cell failed\n");
+    std::exit(1);
+  }
+  std::printf("RTT: one caller, server in a child process, %d calls x %d "
+              "reps; median, min and max over reps\n\n",
+              kRttCalls, kRttReps);
+  PrintHeader({"path", "p50_us", "p50_min", "p50_max", "p99_us", "p99_min",
+               "p99_max"});
+  PrintRttRow("raw_socket", rtt.raw);
+  PrintRttRow("tcp_transport", rtt.transport);
+
+  std::printf("\nTransport sweep: sequencer Kreq/s vs TCP connections\n\n");
   PrintHeader({"mode", "conns", "connected", "children", "Kreq/s", "Kgood/s",
                "srv_thr", "srv_fds"});
 
@@ -556,6 +796,13 @@ void Run(const Flags& flags) {
         mux_max != nullptr ? mux_max->conns : 0,
         mux_max != nullptr ? mux_max->connected : 0, mux_threads,
         pass_sustain ? "true" : "false", pass_threads ? "true" : "false");
+    std::fprintf(f,
+                 "  \"rtt\": {\"calls_per_rep\": %d, \"reps\": %d, "
+                 "\"payload_bytes\": %zu,\n",
+                 kRttCalls, kRttReps, kRttPayload);
+    WriteRttSide(f, "raw_socket", rtt.raw, ",");
+    WriteRttSide(f, "tcp_transport", rtt.transport, "");
+    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"cells\": [\n");
     for (size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
@@ -581,6 +828,9 @@ int main(int argc, char** argv) {
   tangobench::Flags flags(argc, argv);
   if (flags.GetInt("child", 0) != 0) {
     return tangobench::RunChild(flags);
+  }
+  if (flags.GetInt("rtt-server", 0) != 0) {
+    return tangobench::RunRttServer();
   }
   tangobench::Run(flags);
   return 0;

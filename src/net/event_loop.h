@@ -6,9 +6,10 @@
 // with the loop exclusively through Post(), which enqueues a closure and
 // wakes the loop via an eventfd.
 //
-// This is the I/O substrate of the multiplexed TcpTransport (every listener,
-// server connection and client connection of a transport shares one loop)
-// and of the raw-socket client fleets in bench/fig_transport.  The loop
+// This is the I/O substrate of the TcpTransport server side (every listener
+// and accepted connection of a transport shares one loop; callers do their
+// own blocking I/O) and of the raw-socket client fleets in
+// bench/fig_transport.  The loop
 // must never block: callbacks do nonblocking I/O, and an RPC handler that
 // has to wait (for an fsync, say) defers its reply and completes it from
 // another thread, which posts it back here.

@@ -1,12 +1,15 @@
 #include "src/net/tcp_transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
@@ -82,7 +85,7 @@ struct TcpGauges {
   obs::Gauge* connections;      // accepted server-side connections alive
   obs::Gauge* server_inflight;  // requests currently inside a handler
   obs::Gauge* client_inflight;  // Call()s currently waiting on a response
-  obs::Gauge* write_queue;      // bytes parked in loop-side write queues
+  obs::Gauge* write_queue;      // bytes parked in server write queues
 };
 
 TcpGauges& TheTcpGauges() {
@@ -466,216 +469,242 @@ void TcpTransport::ServerConn::CloseOnLoop() {
 }
 
 // ---------------------------------------------------------------------------
-// Client side: one shared ClientConn per destination carries every caller's
-// frames, correlated by id.  Callers enqueue under `mu` and park on a
-// per-call notification; the loop thread writes queued frames and demuxes
-// responses back to their waiters.
+// Client side: per destination, a free list of idle blocking connections.  A
+// Call owns its connection from checkout to return and does the socket I/O
+// on its own thread, so no call waits on the loop or on another call.
 // ---------------------------------------------------------------------------
 
-struct TcpTransport::ClientConn
-    : std::enable_shared_from_this<TcpTransport::ClientConn> {
-  TcpTransport* transport = nullptr;
-  EventLoop* loop = nullptr;
-  NodeId dest = kInvalidNodeId;
-  int fd = -1;
+namespace {
 
-  struct PendingCall {
-    Notification done;
-    Status status = Status::Ok();
-    std::vector<uint8_t> payload;
-    // True when the status was synthesized by the transport (socket death,
-    // shutdown) rather than returned by the remote handler.
-    bool transport_failure = false;
-  };
-
-  enum class State { kConnecting, kReady, kDead };
-
-  // Cross-thread state: callers enqueue, the loop thread demuxes.  The loop
-  // fills and notifies a PendingCall while holding `mu` and removes it from
-  // `pending` in the same critical section, so a timed-out caller that fails
-  // to erase its id knows the notification has already fired.
-  std::mutex mu;
-  State state = State::kConnecting;
-  uint64_t next_corr = 1;
-  std::unordered_map<uint64_t, PendingCall*> pending;
-  std::vector<uint8_t> staged;  // frames not yet handed to the loop
-  bool flush_posted = false;
-
-  // Loop-thread state.
-  ByteQueue in;
-  ByteQueue out;
-  uint32_t interest = EPOLLIN | EPOLLOUT;  // EPOLLOUT resolves the connect
-  bool closed = false;
-  size_t gauged = 0;
-
-  void OnEvent(uint32_t events);
-  void OnReadable();
-  void DrainWrites();
-  void UpdateInterest();
-  void FlushStaged();
-  void Die(const char* why);
-};
-
-void TcpTransport::ClientConn::OnEvent(uint32_t events) {
-  if (closed) {
-    return;
+// Waits for `events` on `fd` until `deadline_us` (0 = no deadline).
+Status WaitFor(int fd, short events, uint64_t deadline_us) {
+  while (true) {
+    int wait_ms = -1;
+    if (deadline_us != 0) {
+      uint64_t now = NowMicros();
+      if (now >= deadline_us) {
+        return Status(StatusCode::kTimeout, "call timed out");
+      }
+      wait_ms = static_cast<int>((deadline_us - now + 999) / 1000);
+    }
+    pollfd pfd{fd, events, 0};
+    int rc = ::poll(&pfd, 1, wait_ms);
+    if (rc > 0) {
+      return Status::Ok();
+    }
+    if (rc < 0 && errno != EINTR) {
+      return Status(StatusCode::kUnavailable, "poll() failed");
+    }
   }
-  bool connecting;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    connecting = state == State::kConnecting;
+}
+
+// Opens a blocking TCP_NODELAY connection to host:port; the connect is
+// bounded by `deadline_us` (0 = none).
+Result<int> Connect(const std::string& host, uint16_t port,
+                    uint64_t deadline_us) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return Status(StatusCode::kInvalidArgument, "bad host address");
   }
-  if (connecting) {
-    // First event on a nonblocking connect: SO_ERROR tells us whether the
-    // handshake succeeded.
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return Status(StatusCode::kUnavailable, "socket() failed");
+  }
+  Status st;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    st = errno == EINPROGRESS
+             ? WaitFor(fd, POLLOUT, deadline_us)
+             : Status(StatusCode::kUnavailable, "connect() failed");
     int err = 0;
     socklen_t err_len = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0) {
-      err = errno;
-    }
-    if (err != 0 || (events & (EPOLLERR | EPOLLHUP))) {
-      Die("connect failed");
-      return;
-    }
-    std::vector<uint8_t> bytes;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      state = State::kReady;
-      bytes.swap(staged);
-    }
-    if (!bytes.empty()) {
-      out.Append(bytes.data(), bytes.size());
-    }
-    DrainWrites();  // also narrows interest to EPOLLIN once drained
-    return;
-  }
-  if (events & EPOLLIN) {
-    OnReadable();
-    if (closed) {
-      return;
+    if (st.ok() &&
+        (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 ||
+         err != 0)) {
+      st = Status(StatusCode::kUnavailable, "connect() failed");
     }
   }
-  if (events & EPOLLOUT) {
-    DrainWrites();
-    if (closed) {
-      return;
-    }
+  if (st.ok() && ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK) != 0) {
+    st = Status(StatusCode::kUnavailable, "fcntl() failed");
   }
-  if (events & (EPOLLERR | EPOLLHUP)) {
-    Die("socket error");
+  if (!st.ok()) {
+    ::close(fd);
+    return st;
   }
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
 }
 
-void TcpTransport::ClientConn::OnReadable() {
-  ReadStatus rs = ReadSome(fd, &in);
-  while (true) {
-    if (in.size() < 4) {
-      break;
-    }
-    uint32_t len = GetU32Le(in.ptr());
-    if (len < kRespHeaderBytes || len > kMaxFrame) {
-      TANGO_LOG(kWarning) << "tcp: malformed response frame from node "
-                          << dest;
-      Die("malformed response frame");
-      return;
-    }
-    if (in.size() < 4 + static_cast<size_t>(len)) {
-      break;
-    }
-    const uint8_t* p = in.ptr() + 4;
-    uint64_t corr = GetU64Le(p);
-    StatusCode code = static_cast<StatusCode>(p[8]);
-    uint32_t retry_after_us = GetU32Le(p + 9);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      auto it = pending.find(corr);
-      if (it != pending.end()) {
-        PendingCall* pc = it->second;
-        pending.erase(it);
-        pc->status = Status(code);
-        pc->status.set_retry_after_us(retry_after_us);
-        pc->payload.assign(p + kRespHeaderBytes, p + len);
-        pc->done.Notify();
-      }
-      // Unknown id: the caller timed out and abandoned it — drop.
-    }
-    in.Consume(4 + len);
-  }
-  if (rs != ReadStatus::kMore) {
-    Die("peer closed connection");
-  }
+// An idle connection has nothing to read: EOF means its peer closed it (a
+// restarted daemon, say), and stray bytes or an error mean it is unusable.
+bool IdleConnectionUsable(int fd) {
+  uint8_t byte;
+  ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
 }
 
-void TcpTransport::ClientConn::DrainWrites() {
-  while (!out.empty()) {
-    ssize_t n = ::send(fd, out.ptr(), out.size(), MSG_NOSIGNAL);
-    if (n < 0) {
+Status SendAll(int fd, const uint8_t* p, size_t n) {
+  while (n > 0) {
+    ssize_t sent = ::send(fd, p, n, MSG_NOSIGNAL);
+    if (sent < 0) {
       if (errno == EINTR) {
         continue;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status(StatusCode::kUnavailable, "send failed");
+    }
+    p += sent;
+    n -= static_cast<size_t>(sent);
+  }
+  return Status::Ok();
+}
+
+// One recv(2) of up to `n` bytes, after waiting for readability when there
+// is a deadline.
+Result<size_t> RecvSome(int fd, uint8_t* p, size_t n, uint64_t deadline_us) {
+  while (true) {
+    if (deadline_us != 0) {
+      Status st = WaitFor(fd, POLLIN, deadline_us);
+      if (!st.ok()) {
+        return st;
+      }
+    }
+    ssize_t got = ::recv(fd, p, n, 0);
+    if (got > 0) {
+      return static_cast<size_t>(got);
+    }
+    if (got == 0) {
+      return Status(StatusCode::kUnavailable, "peer closed connection");
+    }
+    if (errno != EINTR) {
+      return Status(StatusCode::kUnavailable, "recv failed");
+    }
+  }
+}
+
+// Reads the response frame to request `corr`: the server's status goes to
+// `*reply` and its payload to `*payload`.  The connection carries no other
+// call, so any byte past that one frame is a protocol error.
+Status ReadResponse(int fd, uint64_t corr, uint64_t deadline_us,
+                    Status* reply, std::vector<uint8_t>* payload) {
+  constexpr size_t kHead = 4 + kRespHeaderBytes;
+  uint8_t buf[4096];
+  size_t got = 0;
+  while (got < kHead) {
+    Result<size_t> n = RecvSome(fd, buf + got, sizeof(buf) - got, deadline_us);
+    if (!n.ok()) {
+      return n.status();
+    }
+    got += *n;
+  }
+  uint32_t len = GetU32Le(buf);
+  if (len < kRespHeaderBytes || len > kMaxFrame || got > 4 + size_t{len} ||
+      GetU64Le(buf + 4) != corr) {
+    return Status(StatusCode::kUnavailable, "malformed response frame");
+  }
+  *reply = Status(static_cast<StatusCode>(buf[12]));
+  reply->set_retry_after_us(GetU32Le(buf + 13));
+  size_t want = len - kRespHeaderBytes;
+  size_t have = got - kHead;
+  payload->assign(buf + kHead, buf + got);
+  payload->resize(want);
+  while (have < want) {
+    Result<size_t> n =
+        RecvSome(fd, payload->data() + have, want - have, deadline_us);
+    if (!n.ok()) {
+      return n.status();
+    }
+    have += *n;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+struct TcpTransport::Pool {
+  struct Conn {
+    int fd = -1;
+    uint64_t next_corr = 1;
+  };
+
+  std::mutex mu;
+  // Set once UnregisterNode or the destructor dropped this pool: busy
+  // connections close on return instead of going back to `idle`.
+  bool retired = false;
+  std::vector<Conn> idle;
+  std::vector<int> busy;  // fds of the connections calls own right now
+
+  // Takes an idle connection, or opens one to host:port.  The caller owns
+  // it until Return.
+  Status Checkout(const std::string& host, uint16_t port, uint64_t deadline_us,
+                  Conn* conn);
+  void Return(const Conn& conn, bool reusable);
+  // Closes the idle connections and shuts down the busy ones, whose calls
+  // then fail; their owners close them on return.
+  void Retire();
+};
+
+Status TcpTransport::Pool::Checkout(const std::string& host, uint16_t port,
+                                    uint64_t deadline_us, Conn* conn) {
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (retired) {
+        return Status(StatusCode::kUnavailable, "node unregistered");
+      }
+      if (idle.empty()) {
         break;
       }
-      Die("send failed");
-      return;
+      *conn = idle.back();
+      idle.pop_back();
+      busy.push_back(conn->fd);
     }
-    out.Consume(static_cast<size_t>(n));
+    if (IdleConnectionUsable(conn->fd)) {
+      return Status::Ok();
+    }
+    Return(*conn, /*reusable=*/false);
   }
-  SyncQueueGauge(&gauged, out.size());
-  UpdateInterest();
+  Result<int> fd = Connect(host, port, deadline_us);
+  if (!fd.ok()) {
+    return fd.status();
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  if (retired) {
+    ::close(*fd);
+    return Status(StatusCode::kUnavailable, "node unregistered");
+  }
+  *conn = Conn{*fd};
+  busy.push_back(*fd);
+  return Status::Ok();
 }
 
-void TcpTransport::ClientConn::UpdateInterest() {
-  uint32_t want = EPOLLIN | (out.empty() ? 0u : EPOLLOUT);
-  if (want != interest) {
-    interest = want;
-    loop->Update(fd, want);
-  }
-}
-
-void TcpTransport::ClientConn::FlushStaged() {
-  std::vector<uint8_t> bytes;
+void TcpTransport::Pool::Return(const Conn& conn, bool reusable) {
   {
     std::lock_guard<std::mutex> lock(mu);
-    flush_posted = false;
-    if (state != State::kReady) {
-      // Still connecting: the ready transition drains `staged` itself.
-      // Dead: the frames are moot (their calls were already failed).
+    busy.erase(std::find(busy.begin(), busy.end(), conn.fd));
+    if (reusable && !retired) {
+      idle.push_back(conn);
       return;
     }
-    bytes.swap(staged);
   }
-  if (closed || bytes.empty()) {
-    return;
-  }
-  out.Append(bytes.data(), bytes.size());
-  DrainWrites();
+  ::close(conn.fd);
 }
 
-void TcpTransport::ClientConn::Die(const char* why) {
-  if (closed) {
-    return;
-  }
-  closed = true;
-  auto self = shared_from_this();
-  SyncQueueGauge(&gauged, 0);
-  out.Clear();
-  in.Clear();
-  loop->Remove(fd);
-  ::close(fd);
-  fd = -1;
+void TcpTransport::Pool::Retire() {
+  std::vector<Conn> closing;
   {
     std::lock_guard<std::mutex> lock(mu);
-    state = State::kDead;
-    staged.clear();
-    for (auto& [corr, pc] : pending) {
-      pc->status = Status(StatusCode::kUnavailable, why);
-      pc->transport_failure = true;
-      pc->done.Notify();
+    retired = true;
+    // Under `mu`, so no owner can close (and the OS reuse) a busy fd first.
+    for (int fd : busy) {
+      ::shutdown(fd, SHUT_RDWR);
     }
-    pending.clear();
+    closing.swap(idle);
   }
-  transport->DropConnectionIfSame(dest, this);
+  for (const Conn& conn : closing) {
+    ::close(conn.fd);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -683,40 +712,35 @@ void TcpTransport::ClientConn::Die(const char* why) {
 // ---------------------------------------------------------------------------
 
 TcpTransport::TcpTransport(Options options)
-    : call_timeout_ms_(options.call_timeout_ms),
-      loop_(std::make_unique<EventLoop>()) {}
+    : call_timeout_ms_(options.call_timeout_ms) {}
 
 TcpTransport::~TcpTransport() {
   std::vector<std::shared_ptr<Listener>> listeners;
-  std::vector<std::shared_ptr<ClientConn>> conns;
+  std::vector<std::shared_ptr<Pool>> pools;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [node, l] : listeners_) {
       listeners.push_back(l);
     }
     listeners_.clear();
-    for (auto& [node, c] : connections_) {
-      conns.push_back(c);
+    for (auto& [node, pool] : pools_) {
+      pools.push_back(pool);
     }
-    connections_.clear();
+    pools_.clear();
     routes_.clear();
+  }
+  for (auto& pool : pools) {
+    pool->Retire();
   }
   for (auto& l : listeners) {
     ShutdownListener(l);
-  }
-  if (!conns.empty()) {
-    loop_->PostAndWait([&conns] {
-      for (auto& c : conns) {
-        c->Die("transport shutting down");
-      }
-    });
   }
   loop_.reset();
 }
 
 void TcpTransport::ShutdownListener(const std::shared_ptr<Listener>& listener) {
   listener->closed.store(true, std::memory_order_release);
-  loop_->PostAndWait([listener] {
+  listener->loop->PostAndWait([listener] {
     if (listener->listen_fd >= 0) {
       listener->loop->Remove(listener->listen_fd);
       ::close(listener->listen_fd);
@@ -738,6 +762,7 @@ void TcpTransport::RegisterNode(NodeId node, RpcHandler handler) {
 
   uint16_t requested_port = 0;
   std::string address;
+  auto listener = std::make_shared<Listener>();
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = listen_ports_.find(node);
@@ -745,10 +770,11 @@ void TcpTransport::RegisterNode(NodeId node, RpcHandler handler) {
       requested_port = it->second;
     }
     address = listen_address_;
+    if (loop_ == nullptr) {
+      loop_ = std::make_unique<EventLoop>();
+    }
+    listener->loop = loop_.get();
   }
-
-  auto listener = std::make_shared<Listener>();
-  listener->loop = loop_.get();
   listener->node = node;
   listener->handler = std::move(handler);
 
@@ -772,7 +798,7 @@ void TcpTransport::RegisterNode(NodeId node, RpcHandler handler) {
   listener->listen_fd = fd;
   listener->port = ntohs(addr.sin_port);
 
-  loop_->PostAndWait([listener] {
+  listener->loop->PostAndWait([listener] {
     listener->loop->Add(listener->listen_fd, EPOLLIN,
                         [listener](uint32_t) { listener->OnAcceptable(); });
   });
@@ -798,7 +824,7 @@ void TcpTransport::SetListenAddress(const std::string& address) {
 
 void TcpTransport::UnregisterNode(NodeId node) {
   std::shared_ptr<Listener> listener;
-  std::shared_ptr<ClientConn> conn;
+  std::shared_ptr<Pool> pool;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = listeners_.find(node);
@@ -807,14 +833,14 @@ void TcpTransport::UnregisterNode(NodeId node) {
       listeners_.erase(it);
     }
     routes_.erase(node);
-    auto cit = connections_.find(node);
-    if (cit != connections_.end()) {
-      conn = cit->second;
-      connections_.erase(cit);
+    auto pit = pools_.find(node);
+    if (pit != pools_.end()) {
+      pool = pit->second;
+      pools_.erase(pit);
     }
   }
-  if (conn) {
-    loop_->PostAndWait([conn] { conn->Die("node unregistered"); });
+  if (pool) {
+    pool->Retire();
   }
   if (listener) {
     ShutdownListener(listener);
@@ -833,89 +859,31 @@ uint16_t TcpTransport::LocalPort(NodeId node) const {
   return it == listeners_.end() ? 0 : it->second->port;
 }
 
-Result<std::shared_ptr<TcpTransport::ClientConn>> TcpTransport::GetConnection(
-    NodeId dest) {
-  std::string host;
-  uint16_t port = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = connections_.find(dest);
-    if (it != connections_.end()) {
-      return it->second;
-    }
-    auto route = routes_.find(dest);
-    if (route == routes_.end()) {
-      return Status(StatusCode::kUnavailable, "no route to node");
-    }
-    host = route->second.first;
-    port = route->second.second;
-  }
-
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status(StatusCode::kUnavailable, "socket() failed");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status(StatusCode::kInvalidArgument, "bad host address");
-  }
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    return Status(StatusCode::kUnavailable, "connect() failed");
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  auto conn = std::make_shared<ClientConn>();
-  conn->transport = this;
-  conn->loop = loop_.get();
-  conn->dest = dest;
-  conn->fd = fd;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = connections_.emplace(dest, conn);
-    if (!inserted) {
-      // Another thread raced us; keep the first one in.  The losing racer's
-      // socket must not leak — it was never registered with the loop, so
-      // closing it here is the whole cleanup (regression-tested by
-      // ConcurrentFirstCallsDontLeakFds).
-      ::close(fd);
-      return it->second;
-    }
-  }
-  if (!loop_->Post([conn] {
-        conn->loop->Add(conn->fd, EPOLLIN | EPOLLOUT,
-                        [conn](uint32_t ev) { conn->OnEvent(ev); });
-      })) {
-    DropConnectionIfSame(dest, conn.get());
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->state = ClientConn::State::kDead;
-    ::close(conn->fd);
-    conn->fd = -1;
-    return Status(StatusCode::kUnavailable, "transport shutting down");
-  }
-  return conn;
-}
-
-void TcpTransport::DropConnectionIfSame(NodeId dest, const ClientConn* conn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = connections_.find(dest);
-  if (it != connections_.end() && it->second.get() == conn) {
-    connections_.erase(it);
-  }
-}
-
 Status TcpTransport::Call(NodeId dest, uint16_t method,
                           std::span<const uint8_t> request,
                           std::vector<uint8_t>* response) {
   obs::RpcMethodStats& rpc = obs::RpcStatsFor(method);
   rpc.calls->Add();
-  if (loop_->InLoop()) {
-    // Only the loop could deliver the reply, and it would be parked here.
+  bool in_loop = false;
+  std::shared_ptr<Pool> pool;
+  std::string host;
+  uint16_t port = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    in_loop = loop_ != nullptr && loop_->InLoop();
+    auto route = routes_.find(dest);
+    if (!in_loop && route != routes_.end()) {
+      host = route->second.first;
+      port = route->second.second;
+      std::shared_ptr<Pool>& slot = pools_[dest];
+      if (slot == nullptr) {
+        slot = std::make_shared<Pool>();
+      }
+      pool = slot;
+    }
+  }
+  if (in_loop) {
+    // The caller would block the loop that serves this transport's nodes.
     rpc.drops->Add();
     TANGO_LOG(kError) << "tcp: call to node " << dest << " ("
                       << obs::RpcMethodName(method)
@@ -924,128 +892,64 @@ Status TcpTransport::Call(NodeId dest, uint16_t method,
     return Status(StatusCode::kFailedPrecondition,
                   "call from the transport's own loop thread");
   }
+  if (pool == nullptr) {
+    rpc.drops->Add();
+    TANGO_LOG(kWarning) << "tcp: call to node " << dest << " ("
+                        << obs::RpcMethodName(method)
+                        << ") failed: no route to node";
+    return Status(StatusCode::kUnavailable, "no route to node");
+  }
   // Opened before the context is serialized so the server's span parents
   // under this round-trip span.
   obs::TraceScope span(rpc.span_name, dest);
   obs::TraceContext ctx = obs::CurrentTrace();
   uint64_t start_us = obs::MetricsEnabled() ? NowMicros() : 0;
   uint32_t timeout_ms = call_timeout_ms_.load(std::memory_order_relaxed);
+  uint64_t deadline_us =
+      timeout_ms == 0 ? 0 : NowMicros() + uint64_t{timeout_ms} * 1000;
 
-  // Build the frame once; the correlation id at offset 4 is patched when the
-  // call is enqueued on a live connection.
-  uint32_t req_len = kReqHeaderBytes + static_cast<uint32_t>(request.size());
-  std::vector<uint8_t> frame(4 + req_len);
-  PutU32Le(frame.data(), req_len);
-  frame[12] = static_cast<uint8_t>(method);
-  frame[13] = static_cast<uint8_t>(method >> 8);
-  PutU64Le(frame.data() + 14, ctx.trace_id);
-  PutU64Le(frame.data() + 22, ctx.span_id);
-  if (!request.empty()) {
-    std::memcpy(frame.data() + 4 + kReqHeaderBytes, request.data(),
-                request.size());
+  Pool::Conn conn;
+  Status st = pool->Checkout(host, port, deadline_us, &conn);
+  Status reply;
+  if (st.ok()) {
+    uint32_t req_len = kReqHeaderBytes + static_cast<uint32_t>(request.size());
+    std::vector<uint8_t> frame(4 + req_len);
+    uint64_t corr = conn.next_corr++;
+    PutU32Le(frame.data(), req_len);
+    PutU64Le(frame.data() + 4, corr);
+    frame[12] = static_cast<uint8_t>(method);
+    frame[13] = static_cast<uint8_t>(method >> 8);
+    PutU64Le(frame.data() + 14, ctx.trace_id);
+    PutU64Le(frame.data() + 22, ctx.span_id);
+    if (!request.empty()) {
+      std::memcpy(frame.data() + 4 + kReqHeaderBytes, request.data(),
+                  request.size());
+    }
+    std::vector<uint8_t> discarded;
+    TheTcpGauges().client_inflight->Add(1);
+    st = SendAll(conn.fd, frame.data(), frame.size());
+    if (st.ok()) {
+      st = ReadResponse(conn.fd, corr, deadline_us, &reply,
+                        response != nullptr ? response : &discarded);
+    }
+    TheTcpGauges().client_inflight->Add(-1);
+    // A failed or timed-out call closes its connection: whatever the server
+    // still sends on it can never reach another call.
+    pool->Return(conn, /*reusable=*/st.ok());
   }
-
-  ClientConn::PendingCall pc;
-  std::shared_ptr<ClientConn> conn;
-  uint64_t corr = 0;
-  bool enqueued = false;
-  // Two attempts: a cached connection that died since its last use is
-  // evicted and replaced with a fresh socket.  A call that was already
-  // enqueued is never retried here — the server may have executed it.
-  for (int attempt = 0; attempt < 2 && !enqueued; ++attempt) {
-    auto got = GetConnection(dest);
-    if (!got.ok()) {
-      rpc.drops->Add();
-      TANGO_LOG(kWarning) << "tcp: call to node " << dest << " ("
-                          << obs::RpcMethodName(method)
-                          << ") failed: " << got.status().message();
-      return got.status();
-    }
-    conn = *got;
-    bool need_post = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->state != ClientConn::State::kDead) {
-        corr = conn->next_corr++;
-        PutU64Le(frame.data() + 4, corr);
-        conn->pending.emplace(corr, &pc);
-        conn->staged.insert(conn->staged.end(), frame.begin(), frame.end());
-        if (!conn->flush_posted) {
-          conn->flush_posted = true;
-          need_post = true;
-        }
-        enqueued = true;
-      }
-    }
-    if (!enqueued) {
-      DropConnectionIfSame(dest, conn.get());
-      continue;
-    }
-    if (need_post) {
-      auto c = conn;
-      if (!loop_->Post([c] { c->FlushStaged(); })) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->pending.erase(corr);
-        rpc.drops->Add();
-        return Status(StatusCode::kUnavailable, "transport shutting down");
-      }
-    }
-  }
-  if (!enqueued) {
-    rpc.drops->Add();
-    TANGO_LOG(kWarning) << "tcp: connection to node " << dest
-                        << " repeatedly unavailable";
-    return Status(StatusCode::kUnavailable, "connection unavailable");
-  }
-
-  TheTcpGauges().client_inflight->Add(1);
-  bool done = true;
-  if (timeout_ms == 0) {
-    pc.done.WaitForNotification();
-  } else {
-    done = pc.done.WaitForNotificationWithTimeout(
-        std::chrono::milliseconds(timeout_ms));
-  }
-  if (!done) {
-    bool erased;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      erased = conn->pending.erase(corr) > 0;
-    }
-    if (erased) {
-      // Abandon the call but keep the connection: with multiplexed framing a
-      // slow response no longer poisons the stream.  Repeated timeouts are
-      // the circuit breaker's business.
-      TheTcpGauges().client_inflight->Add(-1);
-      rpc.drops->Add();
-      TANGO_LOG(kWarning) << "tcp: call to node " << dest << " ("
-                          << obs::RpcMethodName(method) << ") timed out after "
-                          << timeout_ms << " ms";
-      return Status(StatusCode::kTimeout, "call timed out");
-    }
-    // The response raced in: the loop filled and notified `pc` under
-    // conn->mu before removing the id, so this wait returns immediately.
-    pc.done.WaitForNotification();
-  }
-  TheTcpGauges().client_inflight->Add(-1);
-
-  if (pc.transport_failure) {
+  if (!st.ok()) {
     rpc.drops->Add();
     TANGO_LOG(kWarning) << "tcp: call to node " << dest << " ("
                         << obs::RpcMethodName(method)
-                        << ") failed: " << pc.status.message()
-                        << "; connection dropped";
-    return pc.status;
+                        << ") failed: " << st.message();
+    return st;
   }
   if (start_us != 0) {
     rpc.latency_us->Record(NowMicros() - start_us);
   }
-  if (!pc.status.ok()) {
+  if (!reply.ok()) {
     rpc.failures->Add();
-    return pc.status;
-  }
-  if (response != nullptr) {
-    *response = std::move(pc.payload);
+    return reply;
   }
   return Status::Ok();
 }

@@ -1,5 +1,6 @@
 // TCP transport: the same RPC contract as InProcTransport, over real POSIX
-// sockets — multiplexed over a nonblocking epoll event loop (EventLoop).
+// sockets.  Servers run on a nonblocking epoll event loop (EventLoop);
+// callers do their own blocking socket I/O.
 //
 // Wire format v2 (all little-endian):
 //   request frame:  u32 length | u64 corr_id | u16 method | u64 trace_id
@@ -7,33 +8,38 @@
 //   response frame: u32 length | u64 corr_id | u8 status | u32 retry_after_us
 //                   | payload...
 // `length` counts the bytes after the length field itself.  corr_id pairs a
-// response with its request, so many RPCs can be in flight on one connection
-// and responses may return in any order.  retry_after_us carries the server's
-// backoff hint for kBusy sheds (0 otherwise), so admission control survives
-// the wire.  The 16-byte trace envelope propagates the caller's trace context
-// (src/obs/trace.h); trace_id 0 means the call is untraced.
+// response with its request, so a client may pipeline many RPCs on one
+// connection and the server may answer them in any order.  retry_after_us
+// carries the server's backoff hint for kBusy sheds (0 otherwise), so
+// admission control survives the wire.  The 16-byte trace envelope
+// propagates the caller's trace context (src/obs/trace.h); trace_id 0 means
+// the call is untraced.
 //
-// Architecture: one EventLoop thread per transport owns every socket —
-// listeners, accepted server connections, and cached client connections.
-// All socket I/O is nonblocking with per-connection read/write buffers and
-// incremental framing.  Every handler runs inline on the loop thread: the
-// requests of one read batch are served in order, their responses framed
-// straight into the connection's out buffer, and sent with one send(2).  A
-// handler must therefore never block; one that has to wait (a storage write
-// whose ack waits for an fsync) takes its reply with DeferReply and
-// completes it later from any thread, which posts the framed reply to the
-// loop.  A handler must not Call its own transport (the loop could never
-// deliver the reply): such a call fails with kFailedPrecondition.
-// Client-side, Call() assigns a correlation id, enqueues its frame on the
-// shared per-destination connection, and parks on a notification until the
-// loop demuxes the matching response — so 10k concurrent callers cost 10k
-// sockets, not 10k threads.
+// Server: one EventLoop thread per transport, started by the first
+// RegisterNode, owns every listener and accepted connection.  Socket I/O is
+// nonblocking with per-connection buffers and incremental framing.  Every
+// handler runs inline on the loop thread: the requests of one read batch
+// are served in order, their responses framed straight into the
+// connection's out buffer, and sent with one send(2).  A handler must
+// therefore never block; one that has to wait (a storage write whose ack
+// waits for an fsync) takes its reply with DeferReply and completes it later
+// from any thread, which posts the framed reply to the loop.  A handler must
+// not Call its own transport (the loop could never serve the reply): such a
+// call fails with kFailedPrecondition.
 //
-// Timeouts: Options::call_timeout_ms bounds each Call end to end (connect
-// included).  A timed-out call abandons its correlation id but leaves the
-// connection intact — later responses for abandoned ids are dropped.  Only a
-// socket-level failure kills a connection (failing every pending call on it
-// with kUnavailable).
+// Client: each destination has a free list of idle blocking connections.  A
+// Call takes one (or opens one), sends its frame with one send(2), reads its
+// own reply with blocking recv(2), and puts the connection back — no thread
+// hop on either side.  A connection carries one call at a time, so sockets
+// per destination equal the peak number of concurrent callers.  An idle
+// connection whose peer closed (a restarted daemon) is noticed before the
+// send and replaced.  UnregisterNode and the destructor shut down the
+// connections busy with calls to the node, failing those calls with
+// kUnavailable.
+//
+// Timeouts: Options::call_timeout_ms bounds the connect and the reply wait
+// of each Call.  A timed-out call closes its connection, so its late reply
+// can never reach another call.
 
 #ifndef SRC_NET_TCP_TRANSPORT_H_
 #define SRC_NET_TCP_TRANSPORT_H_
@@ -55,9 +61,9 @@ class EventLoop;
 class TcpTransport : public Transport {
  public:
   struct Options {
-    // Per-call deadline in milliseconds, covering connect, queueing and the
-    // server round trip: a hung or unreachable peer surfaces as kTimeout
-    // instead of blocking the caller forever.  0 = block indefinitely.
+    // Per-call deadline in milliseconds, covering the connect and the wait
+    // for the reply: a hung or unreachable peer surfaces as kTimeout instead
+    // of blocking the caller forever.  0 = block indefinitely.
     uint32_t call_timeout_ms = 0;
   };
 
@@ -104,22 +110,20 @@ class TcpTransport : public Transport {
  private:
   struct Listener;
   struct ServerConn;
-  struct ClientConn;
   class ServerReply;
+  struct Pool;
 
-  Result<std::shared_ptr<ClientConn>> GetConnection(NodeId dest);
-  // Evicts `conn` from the cache iff it is still the cached entry for
-  // `dest` — a dying connection must not evict its replacement.
-  void DropConnectionIfSame(NodeId dest, const ClientConn* conn);
   void ShutdownListener(const std::shared_ptr<Listener>& listener);
 
   std::atomic<uint32_t> call_timeout_ms_{0};
-  std::unique_ptr<EventLoop> loop_;
 
   mutable std::mutex mu_;
+  // Created by the first RegisterNode: a call-only transport starts no
+  // thread.
+  std::unique_ptr<EventLoop> loop_;
   std::unordered_map<NodeId, std::shared_ptr<Listener>> listeners_;
   std::unordered_map<NodeId, std::pair<std::string, uint16_t>> routes_;
-  std::unordered_map<NodeId, std::shared_ptr<ClientConn>> connections_;
+  std::unordered_map<NodeId, std::shared_ptr<Pool>> pools_;
   std::unordered_map<NodeId, uint16_t> listen_ports_;
   std::string listen_address_ = "127.0.0.1";
 };

@@ -410,12 +410,11 @@ TEST(SamplingTest, ConcurrentTcpCallsPropagateContextCleanly) {
   }
 }
 
-// Out-of-order multiplexing: concurrent traced calls asking for different
-// server-side delays complete in roughly reverse submission order over one
-// shared connection.  Every trace must still contain exactly its own
-// client-side rpc span (under its root) and exactly one adopted server span
-// (under that client span) — a demultiplexing mix-up would cross-wire the
-// trace envelopes.
+// Out-of-order completion: concurrent traced calls asking for different
+// server-side delays complete in roughly reverse submission order.  Every
+// trace must still contain exactly its own client-side rpc span (under its
+// root) and exactly one adopted server span (under that client span) — a
+// reply reaching the wrong call would cross-wire the trace envelopes.
 TEST(SamplingTest, OutOfOrderMultiplexedResponsesKeepTracesIntact) {
   ScopedTracer tracer;
   // Handlers run on the transport's loop, so the delayed replies are
@@ -445,7 +444,7 @@ TEST(SamplingTest, OutOfOrderMultiplexedResponsesKeepTracesIntact) {
     std::vector<uint8_t> resp;
     ASSERT_TRUE(transport.Call(9, /*method=*/1, w.Take(), &resp).ok());
     ByteReader r(resp);
-    EXPECT_EQ(r.GetU32(), delay_ms);  // the response demuxed to its caller
+    EXPECT_EQ(r.GetU32(), delay_ms);  // the response reached its caller
   });
 
   std::vector<Span> spans = Tracer::Default().Spans();

@@ -404,10 +404,10 @@ TEST(TcpTransportTest, ConcurrentFirstCallsDontLeakFds) {
   const int base_fds = CountOpenFds();
   ASSERT_GT(base_fds, 0);
 
-  // Hammer the connection-cache race: many threads issue the *first* Call
-  // to a node at once, so all of them miss the cache, connect, and race to
-  // insert.  Every losing racer (and every failed handshake) must close its
-  // socket.  Fresh transport per round so every round re-races.
+  // Many threads issue the *first* Call to a node at once, so all of them
+  // find the free list empty and connect.  Every connection they open must
+  // be closed with the transport.  Fresh transport per round so every round
+  // re-races.
   for (int round = 0; round < 20; ++round) {
     TcpTransport t;
     t.RegisterNode(7, EchoHandler());
@@ -433,10 +433,12 @@ TEST(TcpTransportTest, TimeoutDoesNotBreakHealthyPeers) {
   EXPECT_EQ(r.GetString(), "quick");
 }
 
-// --- multiplexing tests ------------------------------------------------------------
+// --- server-side multiplexing ------------------------------------------------------
 //
-// Many RPCs share one connection, correlated by id: responses may return in
-// any order and each must land on exactly the caller that issued it.
+// A client may pipeline many RPCs on one connection, correlated by id: the
+// server answers each as it completes, in any order.  TcpTransport callers
+// own one connection per call, so these tests speak wire format v2 on a raw
+// socket, as bench/fig_transport's fleets do.
 
 // Completes deferred replies from helper threads, each after its delay;
 // joins them on destruction (declare it before the transport).
@@ -492,36 +494,134 @@ RpcHandler MuxHandler(DelayedReplies* delayed) {
   };
 }
 
+// A blocking raw-socket client that pipelines v2 request frames on one
+// connection and reads response frames in arrival order.
+class RawV2Client {
+ public:
+  struct Response {
+    uint64_t corr = 0;
+    StatusCode code = StatusCode::kOk;
+    std::vector<uint8_t> payload;
+  };
+
+  explicit RawV2Client(uint16_t port) {
+    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 && connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                     sizeof(addr)) == 0;
+  }
+  ~RawV2Client() {
+    if (fd_ >= 0) {
+      close(fd_);
+    }
+  }
+  RawV2Client(const RawV2Client&) = delete;
+  RawV2Client& operator=(const RawV2Client&) = delete;
+
+  bool connected() const { return connected_; }
+
+  // Queues one request frame; Flush sends every queued frame in one write.
+  void Add(uint64_t corr, uint16_t method, const std::vector<uint8_t>& payload) {
+    pending_.PutU32(static_cast<uint32_t>(8 + 2 + 8 + 8 + payload.size()));
+    pending_.PutU64(corr);
+    pending_.PutU16(method);
+    pending_.PutU64(0);  // untraced
+    pending_.PutU64(0);
+    pending_.PutBytes(payload.data(), payload.size());
+  }
+  bool Flush() {
+    std::vector<uint8_t> bytes = pending_.Take();
+    pending_ = ByteWriter();
+    return send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  // A response that could not be read comes back with code kUnavailable.
+  Response Read() {
+    constexpr size_t kHeader = 8 + 1 + 4;
+    Response resp;
+    resp.code = StatusCode::kUnavailable;
+    std::vector<uint8_t> head = ReadExactly(4 + kHeader);
+    if (head.size() < 4 + kHeader) {
+      return resp;
+    }
+    ByteReader r(head);
+    uint32_t len = r.GetU32();
+    if (len < kHeader) {
+      ADD_FAILURE() << "malformed response frame";
+      return resp;
+    }
+    resp.corr = r.GetU64();
+    resp.code = static_cast<StatusCode>(r.GetU8());
+    resp.payload = ReadExactly(len - kHeader);
+    return resp;
+  }
+
+ private:
+  std::vector<uint8_t> ReadExactly(size_t n) {
+    std::vector<uint8_t> out(n);
+    size_t got = 0;
+    while (got < n) {
+      ssize_t k = recv(fd_, out.data() + got, n - got, 0);
+      if (k <= 0) {
+        ADD_FAILURE() << "connection closed mid-frame";
+        out.resize(got);
+        return out;
+      }
+      got += static_cast<size_t>(k);
+    }
+    return out;
+  }
+
+  int fd_ = -1;
+  bool connected_ = false;
+  ByteWriter pending_;
+};
+
+std::vector<uint8_t> DelayedEchoRequest(uint32_t delay_ms,
+                                        const std::string& s) {
+  ByteWriter w;
+  w.PutU32(delay_ms);
+  w.PutString(s);
+  return w.Take();
+}
+
+std::string EchoOf(const RawV2Client::Response& resp) {
+  ByteReader r(resp.payload);
+  return r.GetString();
+}
+
 TEST(TcpTransportTest, MultiplexedResponsesReturnOutOfOrder) {
   DelayedReplies delayed;
   TcpTransport t;
   t.RegisterNode(7, MuxHandler(&delayed));
-  // Warm the connection so every call below shares one socket.
-  ASSERT_TRUE(t.Call(7, 1, EchoRequest("warm"), nullptr).ok());
+  RawV2Client client(t.LocalPort(7));
+  ASSERT_TRUE(client.connected());
 
-  // Call 0's reply is parked while the rest complete: the slow response
-  // arrives after the fast ones on the same connection, so each caller's
-  // payload proves demultiplexing by correlation id, not arrival order.
+  // Six requests pipelined on one connection; request 0's reply is parked
+  // while the rest complete, so it arrives last and each payload proves
+  // correlation by id, not by arrival order.
   constexpr int kCalls = 6;
-  std::array<uint64_t, kCalls> done_at{};
-  RunParallel(kCalls, [&](int i) {
-    ByteWriter w;
-    w.PutU32(i == 0 ? 400 : 0);
-    w.PutString("mux-" + std::to_string(i));
-    std::vector<uint8_t> resp;
-    Status st = t.Call(7, 3, w.Take(), &resp);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    done_at[i] = NowMicros();
-    ByteReader r(resp);
-    EXPECT_EQ(r.GetString(), "mux-" + std::to_string(i));
-  });
-  for (int i = 1; i < kCalls; ++i) {
-    EXPECT_LT(done_at[i], done_at[0])
-        << "fast call " << i << " should complete before the delayed call";
+  for (int i = 0; i < kCalls; ++i) {
+    client.Add(static_cast<uint64_t>(i), 3,
+               DelayedEchoRequest(i == 0 ? 400 : 0, "mux-" + std::to_string(i)));
   }
+  ASSERT_TRUE(client.Flush());
+  std::vector<uint64_t> order;
+  for (int i = 0; i < kCalls; ++i) {
+    RawV2Client::Response resp = client.Read();
+    ASSERT_EQ(resp.code, StatusCode::kOk);
+    EXPECT_EQ(EchoOf(resp), "mux-" + std::to_string(resp.corr));
+    order.push_back(resp.corr);
+  }
+  ASSERT_EQ(order.size(), static_cast<size_t>(kCalls));
+  EXPECT_EQ(order.back(), 0u) << "the delayed reply should arrive last";
 }
 
-TEST(TcpTransportTest, InflightCallsShareOneConnection) {
+TEST(TcpTransportTest, ConcurrentCallsOpenAtMostOneSocketEach) {
   DelayedReplies delayed;
   TcpTransport t;
   t.RegisterNode(7, MuxHandler(&delayed));
@@ -534,23 +634,116 @@ TEST(TcpTransportTest, InflightCallsShareOneConnection) {
   callers.reserve(kCalls);
   for (int i = 0; i < kCalls; ++i) {
     callers.emplace_back([&t, i] {
-      ByteWriter w;
-      w.PutU32(300);
-      w.PutString(std::to_string(i));
       std::vector<uint8_t> resp;
-      Status st = t.Call(7, 3, w.Take(), &resp);
+      Status st = t.Call(7, 3, DelayedEchoRequest(300, std::to_string(i)),
+                         &resp);
       EXPECT_TRUE(st.ok()) << st.ToString();
       ByteReader r(resp);
       EXPECT_EQ(r.GetString(), std::to_string(i));
     });
   }
-  // Mid-flight: a dozen outstanding RPCs, still just the warm connection's
-  // socket pair — in-flight calls cost correlation ids, not sockets.
+  // Mid-flight: a dozen parked calls hold at most a dozen client sockets
+  // (one reused from the warm call), each with its accepted server peer in
+  // this same process.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_LE(CountOpenFds(), base_fds + 1);
+  EXPECT_LE(CountOpenFds(), base_fds + 2 * (kCalls - 1));
   for (auto& caller : callers) {
     caller.join();
   }
+
+  // Sequential calls afterwards reuse the idle connections and open none.
+  const int pooled_fds = CountOpenFds();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(t.Call(7, 1, EchoRequest("again"), nullptr).ok());
+  }
+  EXPECT_EQ(CountOpenFds(), pooled_fds);
+}
+
+TEST(TcpTransportTest, TimedOutCallsLateReplyNeverReachesTheNextCall) {
+  DelayedReplies delayed;
+  TcpTransport::Options options;
+  options.call_timeout_ms = 100;
+  TcpTransport t(options);
+  t.RegisterNode(7, MuxHandler(&delayed));
+  ASSERT_TRUE(t.Call(7, 1, EchoRequest("warm"), nullptr).ok());
+  const int base_fds = CountOpenFds();
+  ASSERT_GT(base_fds, 0);
+
+  EXPECT_EQ(t.Call(7, 3, DelayedEchoRequest(300, "late"), nullptr).code(),
+            StatusCode::kTimeout);
+  // The late reply is sent while the next call still waits for its own.
+  t.set_call_timeout_ms(0);
+  std::vector<uint8_t> resp;
+  Status st = t.Call(7, 3, DelayedEchoRequest(300, "next"), &resp);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ByteReader r(resp);
+  EXPECT_EQ(r.GetString(), "next");
+  // The timed-out call closed its connection; the server closed its end.
+  EXPECT_TRUE(EventuallyTrue([&] { return CountOpenFds() <= base_fds; }))
+      << "fds: " << CountOpenFds() << " vs baseline " << base_fds;
+}
+
+TEST(TcpTransportTest, IdleConnectionToARestartedServerIsReplaced) {
+  TcpTransport server;
+  server.RegisterNode(7, EchoHandler());
+  const uint16_t port = server.LocalPort(7);
+  ASSERT_GT(port, 0);
+  server.SetListenPort(7, port);
+
+  TcpTransport client;
+  client.AddRoute(7, "127.0.0.1", port);
+  ASSERT_TRUE(client.Call(7, 1, EchoRequest("before"), nullptr).ok());
+
+  // The restart closes the server end of the client's idle connection.
+  server.UnregisterNode(7);
+  server.RegisterNode(7, EchoHandler());
+  ASSERT_EQ(server.LocalPort(7), port);
+
+  std::vector<uint8_t> resp;
+  Status st = client.Call(7, 1, EchoRequest("after"), &resp);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ByteReader r(resp);
+  EXPECT_EQ(r.GetString(), "after");
+}
+
+TEST(TcpTransportTest, CallOnlyTransportStartsNoThread) {
+  TcpTransport server;
+  server.RegisterNode(7, EchoHandler());
+  const int base_threads = CountThreads();
+  ASSERT_GT(base_threads, 0);
+
+  TcpTransport client;
+  client.AddRoute(7, "127.0.0.1", server.LocalPort(7));
+  ASSERT_TRUE(client.Call(7, 1, EchoRequest("x"), nullptr).ok());
+  EXPECT_EQ(CountThreads(), base_threads);
+}
+
+TEST(TcpTransportTest, UnregisterFailsACallInFlightToThatNode) {
+  DelayedReplies delayed;
+  TcpTransport server;
+  std::atomic<bool> parked{false};
+  RpcHandler mux = MuxHandler(&delayed);
+  server.RegisterNode(7, [&](uint16_t method, ByteReader& req,
+                             ByteWriter& resp) {
+    Status st = mux(method, req, resp);
+    parked.store(true);
+    return st;
+  });
+  TcpTransport client;
+  client.AddRoute(7, "127.0.0.1", server.LocalPort(7));
+
+  uint64_t failed_after_us = 0;
+  std::thread caller([&] {
+    uint64_t start = NowMicros();
+    EXPECT_EQ(client.Call(7, 3, DelayedEchoRequest(1000, "parked"), nullptr)
+                  .code(),
+              StatusCode::kUnavailable);
+    failed_after_us = NowMicros() - start;
+  });
+  ASSERT_TRUE(EventuallyTrue([&] { return parked.load(); }));
+  client.UnregisterNode(7);
+  caller.join();
+  EXPECT_LT(failed_after_us, 500'000u) << "the call waited for the reply";
 }
 
 TEST(TcpTransportTest, BusyHintsDemuxToTheRightCalls) {
@@ -612,28 +805,24 @@ TEST(TcpTransportTest, ParkedReplyDoesNotDelayOtherCallsOnItsConnection) {
   DelayedReplies delayed;
   TcpTransport t;
   t.RegisterNode(7, MuxHandler(&delayed));
-  ASSERT_TRUE(t.Call(7, 1, EchoRequest("warm"), nullptr).ok());
+  RawV2Client client(t.LocalPort(7));
+  ASSERT_TRUE(client.connected());
 
-  std::atomic<bool> slow_done{false};
-  std::thread slow([&] {
-    ByteWriter w;
-    w.PutU32(300);
-    w.PutString("slow");
-    EXPECT_TRUE(t.Call(7, 3, w.Take(), nullptr).ok());
-    slow_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  // The handler returned at once, so the loop serves the echo while the
-  // slow reply is still parked on its helper thread.
+  // The handler returned at once, so the loop serves the echo pipelined
+  // behind the slow request while the slow reply is still parked on its
+  // helper thread.
   uint64_t start = NowMicros();
-  std::vector<uint8_t> resp;
-  ASSERT_TRUE(t.Call(7, 1, EchoRequest("quick"), &resp).ok());
+  client.Add(1, 3, DelayedEchoRequest(300, "slow"));
+  client.Add(2, 1, EchoRequest("quick"));
+  ASSERT_TRUE(client.Flush());
+  RawV2Client::Response first = client.Read();
   uint64_t took_us = NowMicros() - start;
-  EXPECT_FALSE(slow_done.load());
+  EXPECT_EQ(first.corr, 2u);
+  EXPECT_EQ(EchoOf(first), "quick");
   EXPECT_LT(took_us, 150'000u);
-  ByteReader r(resp);
-  EXPECT_EQ(r.GetString(), "quick");
-  slow.join();
+  RawV2Client::Response second = client.Read();
+  EXPECT_EQ(second.corr, 1u);
+  EXPECT_EQ(EchoOf(second), "slow");
 }
 
 TEST(TcpTransportTest, UnregisterWaitsForParkedReplyAndDropsIt) {
