@@ -119,12 +119,11 @@ uint32_t GetU32Le(const uint8_t* p) {
 // One v2 request frame carrying a kSequencerNext for a single streamless
 // token.  Closed loop = one in flight per connection, so a constant corr id
 // is unambiguous.
-std::vector<uint8_t> BuildNextFrame(uint64_t client_id) {
+std::vector<uint8_t> BuildNextFrame() {
   std::vector<uint8_t> payload;
   PutU32Le(&payload, 0);  // epoch
   PutU32Le(&payload, 1);  // count
   PutU16Le(&payload, 0);  // no streams
-  PutU64Le(&payload, client_id);
 
   std::vector<uint8_t> frame;
   PutU32Le(&frame, static_cast<uint32_t>(8 + 2 + 8 + 8 + payload.size()));
@@ -251,8 +250,6 @@ int RunChild(const Flags& flags) {
   const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 0));
   const int want = static_cast<int>(flags.GetInt("conns", 1));
   const int duration_ms = static_cast<int>(flags.GetInt("duration-ms", 1000));
-  const uint64_t client_base =
-      static_cast<uint64_t>(flags.GetInt("client-base", 1));
   if (port == 0) {
     std::fprintf(stderr, "child: --port is required\n");
     return 2;
@@ -299,7 +296,7 @@ int RunChild(const Flags& flags) {
         ++child.dead;
         continue;
       }
-      c.req = BuildNextFrame(client_base + idx);
+      c.req = BuildNextFrame();
       struct epoll_event ev;
       ev.events = EPOLLOUT;
       ev.data.u64 = idx;
@@ -640,7 +637,6 @@ Cell RunCellOnce(const char* mode, int conns, int duration_ms, uint16_t port) {
 
   std::vector<FILE*> pipes;
   const std::string self = SelfExePath();
-  uint64_t client_base = 1;
   int remaining = conns;
   for (int i = 0; i < cell.children; ++i) {
     int share = std::min(remaining, kMaxConnsPerChild);
@@ -648,9 +644,8 @@ Cell RunCellOnce(const char* mode, int conns, int duration_ms, uint16_t port) {
     char cmd[4352];
     std::snprintf(cmd, sizeof(cmd),
                   "'%s' --child=1 --port=%u --conns=%d "
-                  "--duration-ms=%d --client-base=%" PRIu64,
-                  self.c_str(), port, share, duration_ms, client_base);
-    client_base += static_cast<uint64_t>(share);
+                  "--duration-ms=%d",
+                  self.c_str(), port, share, duration_ms);
     FILE* p = popen(cmd, "r");
     if (p == nullptr) {
       std::fprintf(stderr, "popen failed for child %d\n", i);

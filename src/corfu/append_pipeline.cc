@@ -49,17 +49,10 @@ AppendPipeline::AppendPipeline(CorfuClient* client, Options options)
   grant_stage_us_ = reg.GetHistogram("log.append.stage.grant_us");
   write_stage_us_ = reg.GetHistogram("log.append.stage.write_us");
   cwnd_gauge_ = reg.GetGauge("overload.pipeline.cwnd");
-  shed_counter_ = reg.GetCounter("overload.pipeline.shed");
   busy_counter_ = reg.GetCounter("overload.pipeline.busy");
-  deadline_timeouts_ = reg.GetCounter("overload.pipeline.deadline_timeouts");
   cwnd_gauge_->Set(static_cast<int64_t>(cwnd_));
-  if (options_.token_deadline_ms > 0) {
-    deadline_runner_ = std::make_unique<tango::DeadlineRunner>();
-  }
-  uint32_t workers =
-      options_.workers != 0 ? options_.workers : options_.window;
-  workers_.reserve(workers);
-  for (uint32_t i = 0; i < workers; ++i) {
+  workers_.reserve(options_.window);
+  for (uint32_t i = 0; i < options_.window; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -74,18 +67,12 @@ uint32_t AppendPipeline::window_limit() const {
 }
 
 void AppendPipeline::ShrinkWindow() {
-  if (!options_.adaptive_window) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   cwnd_ = std::max(1.0, cwnd_ / 2.0);
   cwnd_gauge_->Set(static_cast<int64_t>(cwnd_));
 }
 
 void AppendPipeline::GrowWindow() {
-  if (!options_.adaptive_window) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   if (cwnd_ < static_cast<double>(options_.window)) {
     cwnd_ = std::min(static_cast<double>(options_.window),
@@ -138,22 +125,6 @@ AppendPipeline::Handle AppendPipeline::Submit(
       return handle;
     }
     if (queue_.size() + active_ >= WindowLimitLocked()) {
-      if (options_.shed_on_full) {
-        // Open-loop mode: a full window is an overload signal for the
-        // caller, not something to queue behind.  The hint scales with the
-        // depth a retry would have to wait out.
-        uint32_t hint = static_cast<uint32_t>(std::clamp<uint64_t>(
-            1000 * (queue_.size() + active_), 200, 100'000));
-        shed_counter_->Add();
-        lock.unlock();
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.submitted;
-        }
-        Complete(work, Status::Busy(hint, "append window full"),
-                 kInvalidOffset);
-        return handle;
-      }
       // The submitter is actually blocked on the window — the stall the
       // flight recorder exists to explain after a crash.
       uint64_t stall_start_us = tango::NowMicros();
@@ -194,9 +165,6 @@ void AppendPipeline::Shutdown() {
       w.join();
     }
   }
-  // Join any straggling deadline-bounded chain writes before junk-filling,
-  // so a late write either landed (Fill no-ops on it) or never will.
-  deadline_runner_.reset();
   // Every queued work has been processed; what remains are tokens that were
   // granted but never written.  Junk-fill them so the window leaves no holes
   // behind (first-writer-wins: Fill is a no-op where a real value landed).
@@ -297,9 +265,9 @@ void AppendPipeline::ProcessOne(Work& work) {
       continue;
     }
     if (st == StatusCode::kBusy) {
-      // The sequencer or a storage node shed us: multiplicative decrease,
-      // then the hinted cooperative pause before re-driving on a fresh
-      // token.  No projection refresh — the cluster is alive, just loaded.
+      // The sequencer shed the grant: multiplicative decrease, then the
+      // hinted cooperative pause before asking again.  No projection
+      // refresh — the cluster is alive, just loaded.
       busy_counter_->Add();
       ShrinkWindow();
       attempt.BackoffSleep(st.retry_after_us());
@@ -367,19 +335,7 @@ Status AppendPipeline::TryOnce(const Work& work, LogOffset* out) {
   Status st;
   {
     tango::obs::ScopedTimer timer(write_stage_us_);
-    st = BoundedChainWrite(p, token.offset, *encoded);
-  }
-  if (st == StatusCode::kBusy) {
-    // Storage shed the write: hold the token (abandoning it would mint one
-    // hole per shed) and retry the same offset a few times after the hinted
-    // pause before giving the token up.
-    tango::RetryPolicy::Attempt pause = client_->retry_.Begin();
-    for (int tries = 0; st == StatusCode::kBusy && tries < 3; ++tries) {
-      busy_counter_->Add();
-      pause.BackoffSleep(st.retry_after_us());
-      tango::obs::ScopedTimer timer(write_stage_us_);
-      st = BoundedChainWrite(p, token.offset, *encoded);
-    }
+    st = client_->ChainWrite(p, token.offset, *encoded);
   }
   if (st.ok()) {
     client_->ReleaseOffset(token.offset);
@@ -397,39 +353,6 @@ Status AppendPipeline::TryOnce(const Work& work, LogOffset* out) {
   // becomes a hole we owe a junk-fill for.
   Abandon(std::move(token));
   return st;
-}
-
-Status AppendPipeline::BoundedChainWrite(const Projection& p, LogOffset offset,
-                                         const std::vector<uint8_t>& bytes) {
-  if (deadline_runner_ == nullptr) {
-    return client_->ChainWrite(p, offset, bytes);
-  }
-  // The helper may outlive this frame, so it owns copies of everything it
-  // touches (client_ itself outlives the runner: Shutdown joins stragglers).
-  struct Ctx {
-    CorfuClient* client;
-    Projection p;
-    LogOffset offset;
-    std::vector<uint8_t> bytes;
-    Status st = Status::Ok();
-  };
-  auto ctx = std::make_shared<Ctx>();
-  ctx->client = client_;
-  ctx->p = p;
-  ctx->offset = offset;
-  ctx->bytes = bytes;
-  bool in_time = deadline_runner_->Run(
-      [ctx] { ctx->st = ctx->client->ChainWrite(ctx->p, ctx->offset,
-                                                ctx->bytes); },
-      static_cast<uint64_t>(options_.token_deadline_ms) * 1000);
-  if (!in_time) {
-    // The write is still in flight on the helper; whether it eventually
-    // lands or not, abandoning the token is safe — first-writer-wins, and
-    // Fill no-ops where a value landed.
-    deadline_timeouts_->Add();
-    return Status(StatusCode::kTimeout, "chain write exceeded token deadline");
-  }
-  return ctx->st;
 }
 
 Status AppendPipeline::AcquireToken(const Projection& p,

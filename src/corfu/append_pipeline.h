@@ -45,7 +45,6 @@
 #include "src/corfu/types.h"
 #include "src/obs/metrics.h"
 #include "src/util/status.h"
-#include "src/util/threading.h"
 
 namespace corfu {
 
@@ -54,7 +53,11 @@ class CorfuClient;
 class AppendPipeline {
  public:
   struct Options {
-    // Maximum appends in flight; also the AIMD window ceiling.
+    // Maximum appends in flight, one worker thread each; also the ceiling of
+    // the AIMD window: a sequencer shed (kBusy) or a chain-write timeout
+    // halves the effective window (down to 1), and each completed append
+    // grows it back by ~1/cwnd.  With no overload signals the window sits
+    // at `window`, so a healthy cluster pays nothing.
     uint32_t window = 8;
     // Tokens per SequencerNext request (more when even more appends are
     // already waiting on the same stream set).  Surplus tokens are pooled
@@ -62,23 +65,6 @@ class AppendPipeline {
     // over-granting trades a few teardown junk entries for one sequencer
     // round trip per grant_batch appends.
     uint32_t grant_batch = 8;
-    // Worker threads; 0 = one per window slot (the pre-AIMD behavior).
-    uint32_t workers = 0;
-    // AIMD window adaptation: kBusy sheds and chain-write timeouts halve the
-    // effective window (down to 1); each completed append grows it back by
-    // ~1/cwnd.  With no overload signals the window sits at `window`, so
-    // the default costs nothing on healthy clusters.
-    bool adaptive_window = true;
-    // When true, Submit with a full window fails the append immediately
-    // with kBusy + a depth-derived retry-after hint instead of blocking —
-    // the open-loop mode load generators and latency-sensitive callers use.
-    bool shed_on_full = false;
-    // Per-token chain-write deadline: a write that outlives this is timed
-    // out (freeing its worker and shrinking the window) while the straggler
-    // finishes on a detached helper — write-once semantics make the late
-    // write harmless (first-writer-wins; the token is junk-filled).  0 = no
-    // deadline: a wedged storage node can pin a worker indefinitely.
-    uint32_t token_deadline_ms = 0;
   };
 
   // Invoked exactly once per submitted append, from a worker thread, with
@@ -179,15 +165,10 @@ class AppendPipeline {
   void WorkerLoop();
   void ProcessOne(Work& work);
   // AIMD: halves the effective window on an overload signal (kBusy shed or
-  // chain-write deadline); grows it ~1/cwnd per success.
+  // chain-write timeout); grows it ~1/cwnd per success.
   void ShrinkWindow();
   void GrowWindow();
   uint32_t WindowLimitLocked() const;
-  // ChainWrite bounded by token_deadline_ms via the deadline runner (when
-  // configured); a timed-out write returns kTimeout while the straggling
-  // call finishes in the background.
-  tango::Status BoundedChainWrite(const Projection& p, LogOffset offset,
-                                  const std::vector<uint8_t>& bytes);
   // One append attempt: acquire a token, encode, chain-write.  On success
   // stores the offset in *out.  Retryable failures are returned for
   // ProcessOne's policy loop to handle.
@@ -213,9 +194,6 @@ class AppendPipeline {
   bool stopping_ = false;
   bool shut_down_ = false;
   std::vector<std::thread> workers_;
-  // Helper threads for deadline-bounded chain writes; reset (joining any
-  // stragglers) during Shutdown, before leftover tokens are junk-filled.
-  std::unique_ptr<tango::DeadlineRunner> deadline_runner_;
 
   std::mutex pool_mu_;
   std::map<std::vector<StreamId>, Bucket> pool_;
@@ -233,9 +211,7 @@ class AppendPipeline {
   tango::obs::Histogram* grant_stage_us_;
   tango::obs::Histogram* write_stage_us_;
   tango::obs::Gauge* cwnd_gauge_;
-  tango::obs::Counter* shed_counter_;
   tango::obs::Counter* busy_counter_;
-  tango::obs::Counter* deadline_timeouts_;
 };
 
 }  // namespace corfu

@@ -3,10 +3,7 @@
 #include "src/obs/slo.h"
 #include "src/obs/trace.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -67,14 +64,6 @@ tango::RetryPolicy MakeRetryPolicy(const CorfuClient::Options& options) {
   return tango::RetryPolicy(retry);
 }
 
-// Process-unique client identity for the sequencer's per-client quotas;
-// the pid high bits keep ids distinct across processes sharing a sequencer.
-uint64_t NextClientId() {
-  static std::atomic<uint64_t> next{1};
-  return (static_cast<uint64_t>(::getpid()) << 40) |
-         next.fetch_add(1, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 CorfuClient::CorfuClient(tango::Transport* transport, NodeId projection_store,
@@ -82,16 +71,7 @@ CorfuClient::CorfuClient(tango::Transport* transport, NodeId projection_store,
     : transport_(transport),
       projection_store_(projection_store),
       options_(options),
-      retry_(MakeRetryPolicy(options)),
-      client_id_(NextClientId()) {
-  if (options_.enable_circuit_breaker) {
-    tango::CircuitBreakerTransport::Options b = options_.breaker;
-    if (!b.bypass) {
-      b.bypass = [](uint16_t method) { return IsControlPlaneRpc(method); };
-    }
-    breaker_ = std::make_unique<tango::CircuitBreakerTransport>(transport, b);
-    transport_ = breaker_.get();
-  }
+      retry_(MakeRetryPolicy(options)) {
   auto& reg = tango::obs::MetricsRegistry::Default();
   appends_ = reg.GetCounter("log.appends");
   append_retries_ = reg.GetCounter("log.append_retries");
@@ -145,24 +125,18 @@ Status CorfuClient::WithEpochRetry(
     const std::function<Status(const Projection&)>& op) {
   // kSealedEpoch means our projection is stale; kUnavailable may mean the
   // node we are calling was replaced by a reconfiguration we have not seen
-  // yet.  Both refresh and retry with backoff.  kBusy means the node is
-  // alive but shedding load: no refresh, just the hinted cooperative pause.
+  // yet.  Both refresh and retry with backoff.
   auto retryable = [](const Status& st) {
     return st == StatusCode::kSealedEpoch || st == StatusCode::kUnavailable ||
-           st == StatusCode::kTimeout || st == StatusCode::kBusy;
+           st == StatusCode::kTimeout;
   };
   tango::RetryPolicy::Attempt attempt = retry_.Begin();
   Status st = op(Snapshot());
   while (retryable(st) && attempt.ShouldRetry()) {
-    if (st == StatusCode::kBusy) {
-      busy_backoffs_->Add();
-      attempt.BackoffSleep(st.retry_after_us());
-    } else {
-      epoch_refreshes_->Add();
-      TANGO_RETURN_IF_ERROR(RefreshProjection());
-    }
+    epoch_refreshes_->Add();
+    TANGO_RETURN_IF_ERROR(RefreshProjection());
     st = op(Snapshot());
-    if (retryable(st) && st != StatusCode::kBusy) {
+    if (retryable(st)) {
       // A reconfiguration is mid-flight (sealed but not yet proposed); back
       // off — with jitter, so the retrying herd does not stampede the
       // projection store in lockstep — and let it land.
@@ -282,15 +256,6 @@ Result<LogOffset> CorfuClient::AppendToStreams(
     }
 
     Status st = ChainWrite(p, grant->start, *encoded);
-    while (st == StatusCode::kBusy && attempt.ShouldRetry()) {
-      // Storage shed the write.  Keep the granted token — abandoning it
-      // would leave a hole per shed — and retry the same offset after the
-      // hinted pause.
-      busy_backoffs_->Add();
-      append_retries_->Add();
-      attempt.BackoffSleep(st.retry_after_us());
-      st = ChainWrite(p, grant->start, *encoded);
-    }
     if (st.ok()) {
       appends_->Add();
       if (start_us != 0) {
@@ -405,7 +370,7 @@ Result<std::vector<CorfuClient::BatchedRead>> CorfuClient::ReadBatch(
       const std::vector<size_t>& group = *live[g];
       const Status& st = rpc_status[g];
       if (st == StatusCode::kSealedEpoch || st == StatusCode::kUnavailable ||
-          st == StatusCode::kTimeout || st == StatusCode::kBusy) {
+          st == StatusCode::kTimeout) {
         last_retryable = st;
         pending.insert(pending.end(), group.begin(), group.end());
         continue;
@@ -463,8 +428,8 @@ Result<SequencerGrant> CorfuClient::GrantTokens(
     ticket = next_grant_ticket_++;
     grants_inflight_.insert(ticket);
   }
-  Result<SequencerGrant> grant = SequencerNext(
-      transport_, p.sequencer, p.epoch, count, streams, client_id_);
+  Result<SequencerGrant> grant =
+      SequencerNext(transport_, p.sequencer, p.epoch, count, streams);
   std::lock_guard<std::mutex> lock(own_mu_);
   grants_inflight_.erase(ticket);
   if (grant.ok()) {

@@ -33,7 +33,6 @@
 #include "src/corfu/projection.h"
 #include "src/corfu/sequencer.h"
 #include "src/corfu/types.h"
-#include "src/net/breaker.h"
 #include "src/net/transport.h"
 #include "src/obs/metrics.h"
 #include "src/util/retry.h"
@@ -57,12 +56,6 @@ class CorfuClient {
     // Window and grant-batch sizes for the asynchronous append pipeline
     // (AppendAsync); the pipeline is only created on first use.
     AppendPipeline::Options pipeline;
-    // When true, every data-plane RPC goes through a per-node circuit
-    // breaker (see net/breaker.h): a node that keeps timing out fails fast
-    // with kBusy instead of costing a transport timeout per call.
-    // Control-plane RPCs (IsControlPlaneRpc) always pass through.
-    bool enable_circuit_breaker = false;
-    tango::CircuitBreakerTransport::Options breaker;
   };
 
   CorfuClient(tango::Transport* transport, tango::NodeId projection_store)
@@ -174,12 +167,6 @@ class CorfuClient {
   // Returns a copy of the current projection (safe under concurrency).
   Projection projection() const;
   tango::Transport* transport() const { return transport_; }
-  // This client's identity for the sequencer's per-client grant quotas.
-  uint64_t client_id() const { return client_id_; }
-  // The breaker decorating the transport, or null when disabled.
-  tango::CircuitBreakerTransport* circuit_breaker() const {
-    return breaker_.get();
-  }
   tango::NodeId projection_store() const { return projection_store_; }
   const Options& options() const { return options_; }
 
@@ -229,14 +216,10 @@ class CorfuClient {
   bool AwaitOwnWriteUntil(LogOffset offset, const OwnProbe& probe,
                           uint64_t deadline_us);
 
-  // The transport every RPC uses: the raw transport, or the owned circuit
-  // breaker wrapped around it when enabled.
   tango::Transport* transport_;
-  std::unique_ptr<tango::CircuitBreakerTransport> breaker_;
   tango::NodeId projection_store_;
   Options options_;
   tango::RetryPolicy retry_;
-  uint64_t client_id_;
 
   // Registry instruments (see DESIGN.md "Observability").
   tango::obs::Counter* appends_;

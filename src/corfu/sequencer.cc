@@ -49,8 +49,7 @@ Sequencer::Sequencer(tango::Transport* transport, NodeId node, Epoch epoch,
     : transport_(transport),
       node_(node),
       backpointer_count_(backpointer_count),
-      epoch_(epoch),
-      admission_(admission) {
+      epoch_(epoch) {
   auto& reg = tango::obs::MetricsRegistry::Default();
   tokens_ = reg.GetCounter("sequencer.tokens");
   tail_checks_ = reg.GetCounter("sequencer.tail_checks");
@@ -58,15 +57,9 @@ Sequencer::Sequencer(tango::Transport* transport, NodeId node, Epoch epoch,
   tail_gauge_ = reg.GetGauge("sequencer.tail");
   stream_gauge_ = reg.GetGauge("sequencer.streams");
   shed_ = reg.GetCounter("overload.sequencer.shed");
-  shed_client_quota_ = reg.GetCounter("overload.sequencer.shed_client_quota");
   admitted_tokens_ = reg.GetCounter("overload.sequencer.admitted_tokens");
   retry_after_us_ = reg.GetHistogram("overload.sequencer.retry_after_us");
-  inflight_gauge_ = reg.GetGauge("overload.sequencer.inflight");
-  // A fresh bucket starts full so startup bursts are absorbed.
-  global_bucket_.tokens = static_cast<double>(
-      admission_.burst_tokens != 0 ? admission_.burst_tokens
-                                   : admission_.capacity_tokens_per_sec / 8);
-  global_bucket_.last_refill_us = tango::NowMicros();
+  set_admission(admission);
   dispatcher_.Register(kSequencerNext, [this](ByteReader& q, ByteWriter& p) {
     return HandleNext(q, p);
   });
@@ -85,144 +78,69 @@ Sequencer::Sequencer(tango::Transport* transport, NodeId node, Epoch epoch,
 
 Sequencer::~Sequencer() { transport_->UnregisterNode(node_); }
 
+namespace {
+
+double BurstOf(const SequencerAdmission& admission) {
+  return static_cast<double>(admission.burst_tokens != 0
+                                 ? admission.burst_tokens
+                                 : admission.capacity_tokens_per_sec / 8);
+}
+
+}  // namespace
+
 void Sequencer::set_admission(SequencerAdmission admission) {
   std::lock_guard<std::mutex> lock(mu_);
   admission_ = admission;
-  uint64_t burst = admission_.burst_tokens != 0
-                       ? admission_.burst_tokens
-                       : admission_.capacity_tokens_per_sec / 8;
-  global_bucket_.tokens = static_cast<double>(burst);
-  global_bucket_.last_refill_us = tango::NowMicros();
-  client_buckets_.clear();
+  // A fresh bucket starts full so startup bursts are absorbed.
+  bucket_.tokens = BurstOf(admission_);
+  bucket_.last_refill_us = tango::NowMicros();
 }
 
-uint64_t Sequencer::TakeOrHint(Bucket& b, double rate, double burst,
-                               uint32_t count, uint64_t now_us) {
-  if (now_us > b.last_refill_us) {
-    b.tokens = std::min(
-        burst, b.tokens + rate * static_cast<double>(now_us -
-                                                     b.last_refill_us) * 1e-6);
+Status Sequencer::Admit(uint32_t count) {
+  if (admission_.capacity_tokens_per_sec == 0) {
+    return Status::Ok();
   }
-  b.last_refill_us = now_us;
+  uint64_t now_us = tango::NowMicros();
+  double rate = static_cast<double>(admission_.capacity_tokens_per_sec);
+  double burst = std::max(BurstOf(admission_), static_cast<double>(count));
+  if (now_us > bucket_.last_refill_us) {
+    bucket_.tokens = std::min(
+        burst,
+        bucket_.tokens +
+            rate * static_cast<double>(now_us - bucket_.last_refill_us) * 1e-6);
+  }
+  bucket_.last_refill_us = now_us;
   double need = static_cast<double>(count);
-  if (b.tokens >= need) {
-    b.tokens -= need;
-    return 0;
+  if (bucket_.tokens >= need) {
+    bucket_.tokens -= need;
+    admitted_tokens_->Add(count);
+    tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission, 0);
+    return Status::Ok();
   }
   // Retry-after = time for the deficit to refill.  Clamped: a floor so the
   // client's sleep is worth the syscall, a ceiling so one huge batch cannot
   // park a client for minutes.
-  double deficit = need - b.tokens;
-  uint64_t hint = static_cast<uint64_t>(deficit / rate * 1e6);
-  return std::clamp<uint64_t>(hint, 200, 1'000'000);
-}
-
-Status Sequencer::Admit(uint32_t count, uint64_t client_id, uint64_t now_us) {
-  if (admission_.capacity_tokens_per_sec == 0) {
-    return Status::Ok();
-  }
-  double rate = static_cast<double>(admission_.capacity_tokens_per_sec);
-  double burst = static_cast<double>(admission_.burst_tokens != 0
-                                         ? admission_.burst_tokens
-                                         : admission_.capacity_tokens_per_sec /
-                                               8);
-  burst = std::max(burst, static_cast<double>(count));
-
-  // Per-client fair-share bucket first: a client over its quota is shed
-  // without draining the global bucket, so it cannot crowd out the others.
-  if (admission_.per_client_share > 0.0) {
-    // Crude occupancy bound: the map resets wholesale rather than tracking
-    // LRU.  Fresh buckets start full, so the transient is over-admission of
-    // returning clients, never starvation.
-    if (client_buckets_.size() > 4096 &&
-        !client_buckets_.contains(client_id)) {
-      client_buckets_.clear();
-    }
-    double client_rate = rate * admission_.per_client_share;
-    double client_burst = std::max(burst * admission_.per_client_share,
-                                   static_cast<double>(count));
-    auto [it, inserted] = client_buckets_.try_emplace(client_id);
-    if (inserted) {
-      it->second.tokens = client_burst;
-      it->second.last_refill_us = now_us;
-    }
-    uint64_t hint =
-        TakeOrHint(it->second, client_rate, client_burst, count, now_us);
-    if (hint != 0) {
-      shed_->Add();
-      shed_client_quota_->Add();
-      retry_after_us_->Record(hint);
-      tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission,
-                                               hint);
-      return Status::Busy(static_cast<uint32_t>(hint),
-                          "client over grant quota");
-    }
-  }
-
-  uint64_t hint = TakeOrHint(global_bucket_, rate, burst, count, now_us);
-  if (hint != 0) {
-    // Refund the per-client deduction: the request was not admitted.
-    if (admission_.per_client_share > 0.0) {
-      auto it = client_buckets_.find(client_id);
-      if (it != client_buckets_.end()) {
-        it->second.tokens += static_cast<double>(count);
-      }
-    }
-    shed_->Add();
-    retry_after_us_->Record(hint);
-    tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission,
-                                             hint);
-    return Status::Busy(static_cast<uint32_t>(hint), "sequencer overloaded");
-  }
-  admitted_tokens_->Add(count);
-  tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission, 0);
-  return Status::Ok();
+  uint64_t hint = std::clamp<uint64_t>(
+      static_cast<uint64_t>((need - bucket_.tokens) / rate * 1e6), 200,
+      1'000'000);
+  shed_->Add();
+  retry_after_us_->Record(hint);
+  tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission,
+                                           hint);
+  return Status::Busy(static_cast<uint32_t>(hint), "sequencer overloaded");
 }
 
 Result<SequencerGrant> Sequencer::Next(Epoch epoch, uint32_t count,
-                                       const std::vector<StreamId>& streams,
-                                       uint64_t client_id) {
+                                       const std::vector<StreamId>& streams) {
   if (count == 0 || count > kMaxGrantBatch) {
     return Status(StatusCode::kInvalidArgument, "grant count out of range");
   }
-  // Bounded grant queue: beyond max_inflight concurrent Next calls the
-  // request is shed before it can convoy on mu_.  Tracked with an atomic so
-  // the check itself never queues.
-  struct InflightGuard {
-    std::atomic<uint32_t>* counter;
-    tango::obs::Gauge* gauge;
-    ~InflightGuard() {
-      counter->fetch_sub(1, std::memory_order_relaxed);
-      gauge->Add(-1);
-    }
-  };
-  uint32_t inflight = next_inflight_.fetch_add(1, std::memory_order_relaxed) +
-                      1;
-  inflight_gauge_->Add(1);
-  InflightGuard inflight_guard{&next_inflight_, inflight_gauge_};
-  uint32_t max_inflight;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_inflight = admission_.max_inflight;
-  }
-  if (max_inflight != 0 && inflight > max_inflight) {
-    shed_->Add();
-    // Hint proportional to the excess: each queued-ahead request is roughly
-    // one grant's worth of work.
-    uint64_t hint = std::clamp<uint64_t>(
-        static_cast<uint64_t>(inflight - max_inflight) * 100, 200, 100'000);
-    retry_after_us_->Record(hint);
-    tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission,
-                                             hint);
-    return Status::Busy(static_cast<uint32_t>(hint), "grant queue full");
-  }
-
   std::lock_guard<std::mutex> lock(mu_);
   if (epoch != epoch_) {
     sealed_rejects_->Add();
     return Status(StatusCode::kSealedEpoch, "sequencer epoch mismatch");
   }
-  TANGO_RETURN_IF_ERROR(Admit(count, client_id, tango::NowMicros()));
+  TANGO_RETURN_IF_ERROR(Admit(count));
   SequencerGrant grant;
   grant.start = tail_;
   grant.count = count;
@@ -311,13 +229,10 @@ Status Sequencer::HandleNext(ByteReader& req, ByteWriter& resp) {
   for (int i = 0; i < num_streams; ++i) {
     streams.push_back(req.GetU32());
   }
-  // Optional trailing client id (absent in pre-admission encoders -> 0,
-  // the anonymous bucket).
-  uint64_t client_id = req.remaining() >= 8 ? req.GetU64() : 0;
   if (!req.ok()) {
     return Status(StatusCode::kInvalidArgument, "malformed next request");
   }
-  Result<SequencerGrant> grant = Next(epoch, count, streams, client_id);
+  Result<SequencerGrant> grant = Next(epoch, count, streams);
   if (!grant.ok()) {
     return grant.status();
   }
@@ -434,8 +349,7 @@ Result<Sequencer::DumpedState> SequencerDump(tango::Transport* transport,
 Result<SequencerGrant> SequencerNext(tango::Transport* transport,
                                      NodeId sequencer, Epoch epoch,
                                      uint32_t count,
-                                     const std::vector<StreamId>& streams,
-                                     uint64_t client_id) {
+                                     const std::vector<StreamId>& streams) {
   ByteWriter w;
   w.PutU32(epoch);
   w.PutU32(count);
@@ -443,7 +357,6 @@ Result<SequencerGrant> SequencerNext(tango::Transport* transport,
   for (StreamId s : streams) {
     w.PutU32(s);
   }
-  w.PutU64(client_id);
   std::vector<uint8_t> resp;
   Status st = transport->Call(sequencer, kSequencerNext, w.bytes(), &resp);
   if (!st.ok()) {

@@ -23,7 +23,6 @@
 #ifndef SRC_CORFU_SEQUENCER_H_
 #define SRC_CORFU_SEQUENCER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -63,27 +62,18 @@ struct SequencerTailInfo {
   std::vector<StreamTail> backpointers;
 };
 
-// Admission-control knobs for the sequencer's grant path.  The sequencer is
-// the one node every append crosses, so it is where overload concentrates
-// first; these bounds turn "queue until collapse" into "shed with a hint".
-// Only kSequencerNext sheds — Tail/Bootstrap/Dump are control-plane
-// (IsControlPlaneRpc) and always admitted.
+// Admission control for the sequencer's grant path.  The sequencer is the
+// one node every append crosses, so it is where overload concentrates
+// first; a token bucket turns "queue until collapse" into "shed with a
+// hint".  Only kSequencerNext sheds — Tail, Bootstrap and Dump are always
+// admitted.
 struct SequencerAdmission {
   // Sustained token-grant rate admitted across all clients (tokens/sec).
-  // 0 disables admission control entirely (the pre-overload behavior).
+  // 0 disables admission control entirely.
   uint64_t capacity_tokens_per_sec = 0;
   // Token-bucket depth: how large a burst is absorbed before shedding.
   // 0 = capacity/8 (125 ms of burst).
   uint64_t burst_tokens = 0;
-  // Per-client fair share of capacity, in (0, 1]: each client id gets its
-  // own bucket refilled at capacity * share so one aggressive client cannot
-  // monopolize the grant rate.  0 disables per-client quotas.  Anonymous
-  // callers (client id 0) share a single bucket.
-  double per_client_share = 0.0;
-  // Bound on concurrently executing Next calls (the "grant queue"): beyond
-  // this the request is shed immediately instead of convoying on the
-  // sequencer mutex.  0 = unbounded.
-  uint32_t max_inflight = 0;
 };
 
 class Sequencer {
@@ -101,11 +91,9 @@ class Sequencer {
   // Replaces the admission policy at runtime (benches flip this mid-run).
   void set_admission(SequencerAdmission admission);
 
-  // Direct in-process entry points (also reachable over RPC).  client_id
-  // attributes the grant to a caller for per-client quotas; 0 = anonymous.
+  // Direct in-process entry points (also reachable over RPC).
   tango::Result<SequencerGrant> Next(Epoch epoch, uint32_t count,
-                                     const std::vector<StreamId>& streams,
-                                     uint64_t client_id = 0);
+                                     const std::vector<StreamId>& streams);
   tango::Result<SequencerTailInfo> Tail(Epoch epoch,
                                         const std::vector<StreamId>& streams);
   tango::Status Bootstrap(Epoch epoch, LogOffset tail,
@@ -135,14 +123,10 @@ class Sequencer {
                                 tango::ByteWriter& resp);
   tango::Status HandleDump(tango::ByteReader& req, tango::ByteWriter& resp);
 
-  // Refills `b` at `rate` tokens/sec capped at `burst`, then either deducts
-  // `count` (admitted, returns 0) or computes the deficit-based retry-after
-  // hint in microseconds (shed, returns nonzero).  Guarded by mu_.
-  uint64_t TakeOrHint(Bucket& b, double rate, double burst, uint32_t count,
-                      uint64_t now_us);
-  // Full admission decision for one Next(count) from client_id.  Guarded by
-  // mu_.  OK or kBusy with a retry-after hint.
-  tango::Status Admit(uint32_t count, uint64_t client_id, uint64_t now_us);
+  // The admission decision for one Next(count): refills the bucket, then
+  // either deducts `count` (OK) or sheds with kBusy and a retry-after hint
+  // of the time the deficit takes to refill.  Guarded by mu_.
+  tango::Status Admit(uint32_t count);
 
   tango::Transport* transport_;
   tango::NodeId node_;
@@ -154,9 +138,7 @@ class Sequencer {
   std::unordered_map<StreamId, StreamTail> streams_;
 
   SequencerAdmission admission_;
-  Bucket global_bucket_;
-  std::unordered_map<uint64_t, Bucket> client_buckets_;
-  std::atomic<uint32_t> next_inflight_{0};
+  Bucket bucket_;
 
   // Registry instruments (see DESIGN.md "Observability").
   tango::obs::Counter* tokens_;
@@ -165,10 +147,8 @@ class Sequencer {
   tango::obs::Gauge* tail_gauge_;
   tango::obs::Gauge* stream_gauge_;
   tango::obs::Counter* shed_;
-  tango::obs::Counter* shed_client_quota_;
   tango::obs::Counter* admitted_tokens_;
   tango::obs::Histogram* retry_after_us_;
-  tango::obs::Gauge* inflight_gauge_;
 
   tango::RpcDispatcher dispatcher_;
 };
@@ -176,8 +156,7 @@ class Sequencer {
 // Client-side wrappers.
 tango::Result<SequencerGrant> SequencerNext(
     tango::Transport* transport, tango::NodeId sequencer, Epoch epoch,
-    uint32_t count, const std::vector<StreamId>& streams,
-    uint64_t client_id = 0);
+    uint32_t count, const std::vector<StreamId>& streams);
 tango::Result<SequencerTailInfo> SequencerTail(
     tango::Transport* transport, tango::NodeId sequencer, Epoch epoch,
     const std::vector<StreamId>& streams);

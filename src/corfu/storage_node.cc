@@ -1,11 +1,9 @@
 #include "src/corfu/storage_node.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "src/obs/flight.h"
-#include "src/obs/slo.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/segment_store.h"
 #include "src/util/logging.h"
@@ -34,8 +32,6 @@ StorageNode::StorageNode(tango::Transport* transport, NodeId node,
   seals_ = reg.GetCounter("storage.seals");
   trims_ = reg.GetCounter("storage.trims");
   batch_size_ = reg.GetHistogram("storage.read_batch.size");
-  write_shed_ = reg.GetCounter("overload.storage.shed");
-  inflight_writes_gauge_ = reg.GetGauge("overload.storage.inflight_writes");
   dispatcher_.Register(kStorageWrite, [this](ByteReader& q, ByteWriter& p) {
     return HandleWrite(q, p);
   });
@@ -72,7 +68,6 @@ StorageNode::StorageNode(tango::Transport* transport, NodeId node,
     seg.segment_bytes = options_.segment_bytes;
     seg.fsync_batch = options_.fsync_batch;
     seg.flush_interval_ms = options_.flush_interval_ms;
-    seg.max_buffer_bytes = options_.max_buffer_bytes;
     auto store = SegmentStoreBackend::Open(std::move(seg));
     TANGO_CHECK(store.ok()) << "node " << node_
                             << ": cannot open segment store at "
@@ -118,32 +113,6 @@ Status StorageNode::Write(Epoch epoch, LogOffset local,
                           const ByteReader* req) {
   if (bytes.size() > options_.page_size) {
     return Status(StatusCode::kInvalidArgument, "entry exceeds page size");
-  }
-  // Admission bound: shed instead of convoying on the media lock.  The hint
-  // is how long the excess queue ahead of the caller takes to drain on a
-  // serialized device (one write_latency per queued write), floored so
-  // zero-latency configs still ask for a real pause.
-  struct InflightGuard {
-    StorageNode* node;
-    ~InflightGuard() {
-      node->inflight_writes_.fetch_sub(1, std::memory_order_relaxed);
-      node->inflight_writes_gauge_->Add(-1);
-    }
-  };
-  uint32_t inflight =
-      inflight_writes_.fetch_add(1, std::memory_order_relaxed) + 1;
-  inflight_writes_gauge_->Add(1);
-  InflightGuard guard{this};
-  if (options_.max_inflight_writes != 0 &&
-      inflight > options_.max_inflight_writes) {
-    write_shed_->Add();
-    uint64_t per_write =
-        options_.write_latency_us != 0 ? options_.write_latency_us : 100;
-    uint64_t hint = std::clamp<uint64_t>(
-        per_write * (inflight - options_.max_inflight_writes), 200, 1'000'000);
-    tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission,
-                                             hint);
-    return Status::Busy(static_cast<uint32_t>(hint), "storage node overloaded");
   }
   SimulateMedia(options_.write_latency_us);
   if (req == nullptr) {

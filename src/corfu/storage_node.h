@@ -19,7 +19,6 @@
 #ifndef SRC_CORFU_STORAGE_NODE_H_
 #define SRC_CORFU_STORAGE_NODE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -59,13 +58,6 @@ class StorageNode {
     // File abstraction for the segment engine; nullptr = real POSIX.
     // Tests inject faults here.
     corfu::storage::FileSystem* fs = nullptr;
-    // Backpressure: bound on concurrently executing writes.  Beyond this the
-    // write is shed with kBusy and a retry-after hint instead of convoying
-    // on the media lock.  0 = unbounded (the pre-overload behavior).
-    uint32_t max_inflight_writes = 0;
-    // Backpressure for the segment engine's group write buffer; see
-    // storage::SegmentStoreOptions::max_buffer_bytes.  0 = unbounded.
-    uint64_t max_buffer_bytes = 0;
   };
 
   StorageNode(tango::Transport* transport, tango::NodeId node, Options options);
@@ -140,11 +132,6 @@ class StorageNode {
   tango::obs::Counter* seals_;
   tango::obs::Counter* trims_;
   tango::obs::Histogram* batch_size_;
-  tango::obs::Counter* write_shed_;
-  tango::obs::Gauge* inflight_writes_gauge_;
-
-  // Concurrently executing WriteLocal calls, for the admission bound.
-  std::atomic<uint32_t> inflight_writes_{0};
 
   tango::RpcDispatcher dispatcher_;
 };

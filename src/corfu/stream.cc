@@ -23,8 +23,6 @@ StreamStore::StreamStore(CorfuClient* log, Options options)
   fetch_miss_ok_ = reg.GetCounter("store.fetch.miss_ok");
   fetch_trimmed_ = reg.GetCounter("store.fetch.trimmed");
   fetch_errors_ = reg.GetCounter("store.fetch.errors");
-  stale_syncs_ = reg.GetCounter("overload.stream.stale_syncs");
-  stale_streams_ = reg.GetGauge("overload.stream.stale");
 }
 
 StreamStore::~StreamStore() { DrainAsyncPrefetch(/*wait=*/true); }
@@ -379,36 +377,13 @@ Status StreamStore::Backfill(StreamId stream, StreamState& state,
   return Status::Ok();
 }
 
-bool StreamStore::IsStale(StreamId stream) const {
-  auto it = streams_.find(stream);
-  return it != streams_.end() && it->second.stale;
-}
-
 LogOffset StreamStore::SyncedTail(StreamId stream) const {
   auto it = streams_.find(stream);
   return it == streams_.end() ? 0 : it->second.synced_tail;
 }
 
 Result<LogOffset> StreamStore::Sync(StreamId stream) {
-  Result<LogOffset> tail = SyncAll({stream});
-  // Brown-out material is "the cluster is shedding or partially out", where
-  // a stale answer beats no answer.  kSealedEpoch already retried inside the
-  // client, and hard errors would hide real bugs.
-  if (tail.ok() || !options_.brownout_stale_reads ||
-      (tail.status() != StatusCode::kBusy &&
-       tail.status() != StatusCode::kUnavailable &&
-       tail.status() != StatusCode::kTimeout)) {
-    return tail;
-  }
-  // Readers keep consuming everything already discovered — entries are
-  // immutable, so the list is correct, just possibly behind.
-  StreamState& state = StateFor(stream);
-  stale_syncs_->Add();
-  if (!state.stale) {
-    state.stale = true;
-    stale_streams_->Add(1);
-  }
-  return state.synced_tail;
+  return SyncAll({stream});
 }
 
 Result<LogOffset> StreamStore::SyncAll(const std::vector<StreamId>& streams) {
@@ -428,10 +403,6 @@ Status StreamStore::Fold(const std::vector<StreamId>& streams,
     // backpointer of an older answer lies at or below it.
     TANGO_RETURN_IF_ERROR(Backfill(streams[i], state, info.backpointers[i]));
     state.synced_tail = std::max(state.synced_tail, info.tail);
-    if (state.stale) {
-      state.stale = false;
-      stale_streams_->Add(-1);
-    }
   }
   return Status::Ok();
 }

@@ -56,13 +56,6 @@ class StreamStore {
     // lands them in the entry cache.  0 disables prefetching entirely (the
     // original one-RPC-per-entry path).
     size_t readahead = 0;
-    // Brown-out mode: when a Sync fails with an overload / outage status
-    // (kBusy, kUnavailable, kTimeout), serve the stream's last successfully
-    // synced tail — explicitly marked stale via IsStale — instead of
-    // erroring, so readers keep draining known offsets (and the LRU entry
-    // cache) while the cluster sheds.  Entries are immutable, so everything
-    // already discovered is still correct; only the tail is behind.
-    bool brownout_stale_reads = true;
   };
 
   // Which way FetchEntry prefetches through the known-offset list: forward
@@ -88,6 +81,8 @@ class StreamStore {
   // Brings the stream's linked list up to date with the sequencer and
   // returns the current global log tail (the position up to which the list
   // is now complete).  Must be called before ReadNext for linearizability.
+  // A failed sequencer round trip is the result: entries already discovered
+  // stay readable, but no stale tail is ever returned.
   tango::Result<LogOffset> Sync(StreamId stream);
 
   // Returns the next data entry of the stream, skipping junk.  Returns
@@ -98,7 +93,7 @@ class StreamStore {
   tango::Result<StreamEntry> PeekNext(StreamId stream);
 
   // Syncs several streams with a single sequencer round trip; returns the
-  // global log tail.  Never browns out: a failed round trip is the result.
+  // global log tail.
   tango::Result<LogOffset> SyncAll(const std::vector<StreamId>& streams);
 
   // Folds a sequencer answer for `streams` (parallel to info.backpointers)
@@ -110,10 +105,6 @@ class StreamStore {
 
   // The log tail up to which the stream's known offsets are complete.
   LogOffset SyncedTail(StreamId stream) const;
-
-  // Whether the stream's last Sync served a stale (brown-out) tail rather
-  // than a fresh sequencer answer.
-  bool IsStale(StreamId stream) const;
 
   // Advances the cursor past exactly one known offset (junk included),
   // without fetching it.  Used by global-order playback, which steps all
@@ -181,7 +172,6 @@ class StreamStore {
     std::vector<LogOffset> offsets;  // ascending, complete up to synced_tail
     size_t cursor = 0;               // index into offsets
     LogOffset synced_tail = 0;       // newest tail folded in
-    bool stale = false;              // last Sync was a brown-out answer
   };
 
   // Walks backpointers (and, on junk dead-ends, scans) to discover every
@@ -254,8 +244,6 @@ class StreamStore {
   tango::obs::Counter* fetch_miss_ok_;
   tango::obs::Counter* fetch_trimmed_;
   tango::obs::Counter* fetch_errors_;
-  tango::obs::Counter* stale_syncs_;
-  tango::obs::Gauge* stale_streams_;
 };
 
 }  // namespace corfu

@@ -71,35 +71,7 @@ enum RpcMethod : uint16_t {
   kLockCommit = 0x0401,
   kLockAbort = 0x0402,
   kTimestampNext = 0x0403,
-
-  // Observability (src/obs): dump the process-wide metrics registry /
-  // trace buffer of the serving process.
-  kStatsDump = 0x0500,
 };
-
-// Control-plane and health RPCs form a priority class that bypasses load
-// shedding and circuit breaking: starving them under overload converts
-// congestion into unavailability (missed heartbeats trigger spurious
-// failover, seals never land, reconfiguration cannot make progress).  They
-// are low-rate and cheap, so admitting them unconditionally cannot sustain
-// an overload on its own.  Data-plane RPCs (writes, reads, token grants)
-// are the ones that shed.
-constexpr bool IsControlPlaneRpc(uint16_t method) {
-  switch (method) {
-    case kStorageSeal:
-    case kStorageSealedEpoch:
-    case kStorageLocalTail:
-    case kSequencerTail:
-    case kSequencerBootstrap:
-    case kSequencerDump:
-    case kProjectionGet:
-    case kProjectionPropose:
-    case kStatsDump:
-      return true;
-    default:
-      return false;
-  }
-}
 
 }  // namespace corfu
 

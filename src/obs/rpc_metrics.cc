@@ -37,7 +37,6 @@ constexpr MethodEntry kMethods[] = {
     {corfu::kLockCommit, "lock.commit", "rpc:lock.commit"},
     {corfu::kLockAbort, "lock.abort", "rpc:lock.abort"},
     {corfu::kTimestampNext, "timestamp.next", "rpc:timestamp.next"},
-    {corfu::kStatsDump, "stats.dump", "rpc:stats.dump"},
 };
 
 constexpr int kNumKnown = static_cast<int>(std::size(kMethods));

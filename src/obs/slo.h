@@ -19,8 +19,8 @@
 // on second-boundary races.
 //
 // Exposure: a MetricsRegistry collection hook refreshes slo.* counters and
-// burn-rate gauges on every Snap() (so they appear in kStatsDump and
-// /metrics), and RenderJson() feeds the /slo endpoint and kSloJson RPC.
+// burn-rate gauges on every Snap() (so they appear in /metrics), and
+// RenderJson() feeds the /slo endpoint.
 
 #ifndef SRC_OBS_SLO_H_
 #define SRC_OBS_SLO_H_

@@ -363,7 +363,7 @@ void Tracer::AppendToRing(const Rec& rec) {
 void Tracer::RecordSpan(const Rec& rec) {
   if (rec.adopted) {
     // The root (and its sampling decision) live in the caller's process;
-    // retain locally so kStatsDump exports the server half of the trace.
+    // retain locally so /traces exports the server half of the trace.
     MarkRetained(rec.trace_id);
   }
   AppendToRing(rec);

@@ -713,8 +713,8 @@ Result<LogOffset> TangoRuntime::Barrier(std::unique_lock<std::mutex>& lock,
     std::lock_guard<std::mutex> hosted_lock(hosted_mu_);
     return hosted_;
   }();
-  // No brown-out here: a failed ask fails the accessor rather than letting
-  // it return a stale view as linearizable.
+  // A failed ask fails the accessor rather than letting it return a stale
+  // view as linearizable.
   Result<corfu::SequencerTailInfo> info = log_->StreamTails(streams);
   if (!info.ok()) {
     return info.status();

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/obs/flight.h"
-#include "src/obs/slo.h"
 #include "src/util/crc32c.h"
 #include "src/util/logging.h"
 #include "src/util/serialize.h"
@@ -122,9 +121,7 @@ SegmentStoreBackend::SegmentStoreBackend(SegmentStoreOptions options)
   m_gc_deleted_ = reg.GetCounter("storage.segment.gc_deleted");
   m_corrupt_ = reg.GetCounter("storage.segment.corrupt_rejected");
   m_failstop_ = reg.GetCounter("storage.segment.failstop");
-  m_wbuf_shed_ = reg.GetCounter("overload.storage.wbuf_shed");
   m_window_waits_ = reg.GetCounter("storage.segment.window_waits");
-  m_wbuf_bytes_ = reg.GetGauge("overload.storage.wbuf_bytes");
 }
 
 Result<std::unique_ptr<SegmentStoreBackend>> SegmentStoreBackend::Open(
@@ -682,21 +679,6 @@ std::optional<Status> SegmentStoreBackend::PutOrPark(
   std::unique_lock<std::mutex> lk(mu_);
   TANGO_RETURN_IF_ERROR(
       EnsureRoomLocked(kFrameHeader + kBodyHeader + bytes.size(), lk));
-  m_wbuf_bytes_->Set(static_cast<int64_t>(buf_.size()));
-  if (options_.max_buffer_bytes != 0 && buf_.size() > options_.max_buffer_bytes) {
-    // The group write buffer is backed up behind a slow device: shed rather
-    // than queue unboundedly.  The hint is the flusher's cadence — by then
-    // either the drain caught up or the caller learns to slow down.
-    m_wbuf_shed_->Add();
-    uint64_t hint = options_.flush_interval_ms != 0
-                        ? static_cast<uint64_t>(options_.flush_interval_ms) * 500
-                        : 5'000;  // half the flush interval, or 5 ms
-    hint = std::clamp<uint64_t>(hint, 200, 1'000'000);
-    tango::obs::SloTracker::Default().Record(tango::obs::SloOp::kAdmission,
-                                             hint);
-    return Status::Busy(static_cast<uint32_t>(hint),
-                        "segment write buffer full");
-  }
   TANGO_RETURN_IF_ERROR(CheckEpochLocked(epoch));
   if (local < trim_prefix_ || trimmed_.contains(local)) {
     return Status(StatusCode::kTrimmed);

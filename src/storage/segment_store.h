@@ -81,11 +81,6 @@ struct SegmentStoreOptions {
   // Background flush+fsync cadence in ms; 0 disables the thread, and with it
   // fsync-ahead and parked acks.
   uint32_t flush_interval_ms = 20;
-  // Backpressure: bound on bytes sitting in the group write buffer (admitted
-  // but not yet handed to the kernel).  Once exceeded, Put sheds with kBusy
-  // and a retry-after hint instead of queuing unboundedly behind a slow
-  // device.  0 = unbounded (the pre-overload behavior).
-  uint64_t max_buffer_bytes = 0;
 };
 
 class SegmentStoreBackend : public StorageBackend {
@@ -300,9 +295,7 @@ class SegmentStoreBackend : public StorageBackend {
   tango::obs::Counter* m_gc_deleted_;
   tango::obs::Counter* m_corrupt_;
   tango::obs::Counter* m_failstop_;
-  tango::obs::Counter* m_wbuf_shed_;
   tango::obs::Counter* m_window_waits_;
-  tango::obs::Gauge* m_wbuf_bytes_;
 };
 
 }  // namespace corfu::storage

@@ -37,12 +37,6 @@ ExecutorGauges& TheExecutorGauges() {
   return g;
 }
 
-obs::Gauge* DeadlineStrayGauge() {
-  static obs::Gauge* g =
-      obs::MetricsRegistry::Default().GetGauge("util.deadline_runner.strays");
-  return g;
-}
-
 }  // namespace
 
 Executor::Executor(int num_threads) {
@@ -96,128 +90,6 @@ void Executor::WorkerLoop() {
 Executor& Executor::Shared() {
   static Executor pool(std::max(4u, std::thread::hardware_concurrency()));
   return pool;
-}
-
-// Completion handshake between a Run() caller and the helper thread.  Heap
-// allocated and shared: the caller may abandon it on timeout while the
-// helper is still running the callable.
-struct DeadlineRunner::TaskState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool abandoned = false;  // caller timed out and walked away
-};
-
-struct DeadlineRunner::Worker {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::function<void()> fn;  // set by Run(), consumed by WorkerLoop()
-  std::shared_ptr<TaskState> state;
-  bool exit = false;
-  std::thread thread;
-};
-
-DeadlineRunner::DeadlineRunner() = default;
-
-DeadlineRunner::~DeadlineRunner() {
-  std::vector<std::shared_ptr<Worker>> workers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-    workers = all_;
-    idle_.clear();
-  }
-  for (auto& w : workers) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->exit = true;
-    }
-    w->cv.notify_all();
-  }
-  // Joining waits for busy helpers to finish their callables — including
-  // strays whose caller timed out — so anything those callables reference
-  // outlives them.
-  for (auto& w : workers) {
-    if (w->thread.joinable()) {
-      w->thread.join();
-    }
-  }
-}
-
-int DeadlineRunner::thread_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(all_.size());
-}
-
-bool DeadlineRunner::Run(std::function<void()> fn, uint64_t deadline_us) {
-  if (deadline_us == 0) {
-    fn();
-    return true;
-  }
-  auto state = std::make_shared<TaskState>();
-  std::shared_ptr<Worker> worker;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!idle_.empty()) {
-      worker = std::move(idle_.back());
-      idle_.pop_back();
-    } else {
-      worker = std::make_shared<Worker>();
-      all_.push_back(worker);
-      worker->thread =
-          std::thread([this, worker] { WorkerLoop(worker); });
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(worker->mu);
-    worker->fn = std::move(fn);
-    worker->state = state;
-  }
-  worker->cv.notify_one();
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  if (state->cv.wait_for(lock, std::chrono::microseconds(deadline_us),
-                         [&] { return state->done; })) {
-    return true;
-  }
-  state->abandoned = true;
-  DeadlineStrayGauge()->Add(1);
-  return false;
-}
-
-void DeadlineRunner::WorkerLoop(std::shared_ptr<Worker> worker) {
-  SetCurrentThreadName("tgo-deadline");
-  for (;;) {
-    std::function<void()> fn;
-    std::shared_ptr<TaskState> state;
-    {
-      std::unique_lock<std::mutex> lock(worker->mu);
-      worker->cv.wait(lock,
-                      [&] { return worker->exit || worker->fn != nullptr; });
-      if (worker->fn == nullptr) {
-        return;  // exit requested while idle
-      }
-      fn = std::move(worker->fn);
-      worker->fn = nullptr;
-      state = std::move(worker->state);
-    }
-    fn();
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->done = true;
-      if (state->abandoned) {
-        DeadlineStrayGauge()->Add(-1);
-      }
-      state->cv.notify_all();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        return;  // destructor owns the join; don't re-park
-      }
-      idle_.push_back(worker);
-    }
-  }
 }
 
 void TaskGroup::Launch(std::function<void()> fn) {

@@ -110,47 +110,6 @@ class Executor {
 // Legacy name, kept for the call sites that predate the executor refactor.
 using ThreadPool = Executor;
 
-// Runs blocking callables under a deadline without wedging the caller: the
-// callable executes on a cached helper thread while the caller waits up to
-// `deadline_us` for it to finish.  On timeout the caller unblocks immediately
-// and the helper keeps running the (possibly wedged) callable in the
-// background, re-parking into the idle cache once it completes.  Steady state
-// is one condvar handoff per Run; threads are spawned only on first use or
-// when a timeout has stranded every cached helper.
-//
-// Because a timed-out callable is still executing, it must own everything it
-// touches (capture by value / shared_ptr) — never by reference to the
-// caller's stack.  The destructor blocks until every outstanding callable
-// (including timed-out strays) has finished, so objects owned by the
-// DeadlineRunner's owner stay valid for stragglers.
-class DeadlineRunner {
- public:
-  DeadlineRunner();
-  ~DeadlineRunner();
-
-  DeadlineRunner(const DeadlineRunner&) = delete;
-  DeadlineRunner& operator=(const DeadlineRunner&) = delete;
-
-  // Returns true if `fn` completed within the deadline, false if it is still
-  // running when the deadline expires (it continues in the background).
-  // deadline_us == 0 runs `fn` inline with no deadline.
-  bool Run(std::function<void()> fn, uint64_t deadline_us);
-
-  // Helper threads currently alive (idle + busy).  Test/introspection hook.
-  int thread_count() const;
-
- private:
-  struct TaskState;
-  struct Worker;
-
-  void WorkerLoop(std::shared_ptr<Worker> worker);
-
-  mutable std::mutex mu_;
-  bool stopping_ = false;
-  std::vector<std::shared_ptr<Worker>> idle_;
-  std::vector<std::shared_ptr<Worker>> all_;
-};
-
 // Tracks completion of tasks fanned out to an executor: Launch() submits the
 // task and Wait() blocks until every launched task has finished.  The group
 // must outlive its tasks — the destructor waits for stragglers.

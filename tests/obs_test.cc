@@ -1,5 +1,5 @@
 // Tests for the observability layer: metrics registry, concurrent histogram,
-// trace-context propagation (in-proc and TCP), the stats RPC service, and the
+// trace-context propagation (in-proc and TCP), the HTTP endpoint, and the
 // end-to-end acceptance property — one committed read-write transaction
 // produces a single causal trace from client commit through the sequencer and
 // every chain replica to playback apply, exportable as Chrome trace JSON.
@@ -24,7 +24,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/rpc_metrics.h"
 #include "src/obs/slo.h"
-#include "src/obs/stats_service.h"
 #include "src/obs/trace.h"
 #include "src/runtime/runtime.h"
 #include "src/util/serialize.h"
@@ -772,41 +771,9 @@ TEST(ObsHttpTest, CustomHandlersAndRestart) {
   server.Stop();
 }
 
-// --- stats service -----------------------------------------------------------------
+// --- cluster -----------------------------------------------------------------------
 
 class ObsClusterTest : public ClusterFixture {};
-
-TEST_F(ObsClusterTest, StatsServiceServesAllKinds) {
-  StatsService service(&transport_, /*node=*/42);
-  MetricsRegistry::Default().GetCounter("stats.service.marker")->Add();
-
-  auto text = FetchStats(&transport_, 42, StatsKind::kMetricsText);
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_NE(text->find("stats.service.marker"), std::string::npos);
-
-  auto json = FetchStats(&transport_, 42, StatsKind::kMetricsJson);
-  ASSERT_TRUE(json.ok());
-  EXPECT_EQ(json->front(), '{');
-  EXPECT_NE(json->find("\"counters\""), std::string::npos);
-
-  auto trace = FetchStats(&transport_, 42, StatsKind::kChromeTrace);
-  ASSERT_TRUE(trace.ok());
-  EXPECT_EQ(trace->front(), '[');
-
-  FlightRecorder::Default().Record(FlightKind::kSeal, "stats service probe",
-                                   1);
-  auto flight = FetchStats(&transport_, 42, StatsKind::kFlightRecorder);
-  ASSERT_TRUE(flight.ok());
-  EXPECT_NE(flight->find("stats service probe"), std::string::npos);
-
-  auto slo = FetchStats(&transport_, 42, StatsKind::kSloJson);
-  ASSERT_TRUE(slo.ok());
-  EXPECT_NE(slo->find("\"append\""), std::string::npos);
-
-  auto prom = FetchStats(&transport_, 42, StatsKind::kPrometheus);
-  ASSERT_TRUE(prom.ok());
-  EXPECT_NE(prom->find("tango_stats_service_marker"), std::string::npos);
-}
 
 // The SLO tracker sits inside the log client and runtime: ordinary cluster
 // operations score themselves without any bench/tool involvement.

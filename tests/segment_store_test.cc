@@ -22,6 +22,7 @@
 #include "src/storage/segment_store.h"
 #include "src/util/crc32c.h"
 #include "src/util/random.h"
+#include "src/util/threading.h"
 #include "tests/test_env.h"
 
 namespace corfu::storage {

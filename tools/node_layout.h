@@ -7,7 +7,7 @@
 //   projection store : node 11,  base_port
 //   sequencer        : node 10,  base_port + 1
 //   storage node i   : node 100+i, base_port + 2 + i
-//   stats service    : node 12,  base_port + 2 + num_storage_nodes
+//   (unused)         : base_port + 2 + num_storage_nodes
 //   obs http server  : (plain HTTP), base_port + 3 + num_storage_nodes
 
 #ifndef TOOLS_NODE_LAYOUT_H_
@@ -23,10 +23,6 @@
 namespace tangotools {
 
 struct NodeLayout {
-  // The daemon's StatsService (tools/tango_stat --connect) listens as this
-  // node id, one past the storage ports.
-  static constexpr tango::NodeId kStatsNode = 12;
-
   int num_storage_nodes;
   uint16_t base_port;
 
@@ -35,11 +31,8 @@ struct NodeLayout {
   uint16_t StoragePort(int i) const {
     return static_cast<uint16_t>(base_port + 2 + i);
   }
-  uint16_t StatsPort() const {
-    return static_cast<uint16_t>(base_port + 2 + num_storage_nodes);
-  }
   // The daemon's embedded observability HTTP server (/metrics, /traces,
-  // /vars, /slo, /flight, /healthz), one past the stats RPC port.
+  // /vars, /slo, /flight, /healthz), two past the last storage port.
   uint16_t HttpPort() const {
     return static_cast<uint16_t>(base_port + 3 + num_storage_nodes);
   }
@@ -60,7 +53,6 @@ struct NodeLayout {
     for (int i = 0; i < num_storage_nodes; ++i) {
       transport.SetListenPort(defaults.storage_base + i, StoragePort(i));
     }
-    transport.SetListenPort(kStatsNode, StatsPort());
   }
 
   // Client side: route every service id to host's well-known port.
@@ -73,7 +65,6 @@ struct NodeLayout {
     for (int i = 0; i < num_storage_nodes; ++i) {
       transport.AddRoute(defaults.storage_base + i, host, StoragePort(i));
     }
-    transport.AddRoute(kStatsNode, host, StatsPort());
   }
 
   tango::NodeId projection_store_node() const {

@@ -43,7 +43,6 @@
 #include "src/net/tcp_transport.h"
 #include "src/obs/flight.h"
 #include "src/obs/http.h"
-#include "src/obs/stats_service.h"
 #include "src/obs/trace.h"
 #include "src/util/threading.h"
 #include "tools/node_layout.h"
@@ -138,11 +137,8 @@ int main(int argc, char** argv) {
   }
   corfu::CorfuCluster cluster(&transport, options);
 
-  // Metrics/trace inspector endpoint: `tango_stat --connect=HOST` attaches
-  // here (same flags as the daemon) and dumps this process's registry.
-  tango::obs::StatsService stats(&transport, tangotools::NodeLayout::kStatsNode);
-
   // HTTP observability endpoint: curl :port/metrics, /traces, /slo, ...
+  // `tango_stat --connect=HOST` (same flags as the daemon) reads it too.
   tango::obs::ObsHttpServer http;
   if (http_port != 0) {
     http.Handle("/flight",
@@ -165,8 +161,6 @@ int main(int argc, char** argv) {
       layout.StoragePort(layout.num_storage_nodes - 1),
       data_dir.empty() ? ""
                        : (", durable segment store in " + data_dir).c_str());
-  std::printf("tango_logd: stats endpoint (tango_stat --connect) on port %u\n",
-              layout.StatsPort());
   if (http.running()) {
     std::printf("tango_logd: obs http (/metrics /traces /vars /slo /flight) "
                 "on port %u\n",

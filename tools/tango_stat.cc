@@ -2,17 +2,16 @@
 //
 // Three modes:
 //
-//   tango_stat --connect=HOST [--base-port=19700] [--nodes=6]
-//              [--kind=text|json|trace|prom|slo|flight] [--http]
+//   tango_stat --connect=HOST [--base-port=19700] [--nodes=6] [--http-port=N]
+//              [--kind=prom|json|trace|slo|flight]
 //     Attach to a live tango_logd (started with the same --base-port/--nodes
-//     flags) over TCP and dump its metrics registry, or — with --kind=trace —
-//     its span buffer as Chrome trace_event JSON.  --kind=prom fetches the
-//     Prometheus exposition, slo the burn-rate accounting, flight the crash
-//     flight recorder.  With --http the same payloads come from the daemon's
-//     HTTP port instead of the stats RPC (text -> /metrics, json -> /vars,
-//     trace -> /traces, slo -> /slo, flight -> /flight).
+//     flags) and fetch one payload from its observability HTTP port: the
+//     Prometheus exposition (prom, the default: /metrics), the metrics
+//     registry as JSON (json: /vars), the span buffer as Chrome trace_event
+//     JSON (trace: /traces), the SLO burn-rate accounting (slo: /slo) or the
+//     crash flight recorder (flight: /flight).
 //
-//   tango_stat --connect=HOST --watch=SECS [--count=N] [--http]
+//   tango_stat --connect=HOST --watch=SECS [--count=N]
 //     Poll the deployment every SECS seconds and print what moved: counter
 //     rates (per second, from consecutive Prometheus scrapes) and latency
 //     percentile movement (_p50/_p99 gauges).  --count bounds the number of
@@ -42,11 +41,9 @@
 
 #include "src/corfu/cluster.h"
 #include "src/net/inproc_transport.h"
-#include "src/net/tcp_transport.h"
 #include "src/objects/tango_register.h"
 #include "src/obs/http.h"
 #include "src/obs/metrics.h"
-#include "src/obs/stats_service.h"
 #include "src/obs/trace.h"
 #include "src/runtime/runtime.h"
 #include "tools/node_layout.h"
@@ -57,8 +54,8 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: tango_stat --connect=HOST [--base-port=19700] [--nodes=6] "
-      "[--kind=text|json|trace|prom|slo|flight] [--http]\n"
-      "       tango_stat --connect=HOST --watch=SECS [--count=N] [--http]\n"
+      "[--http-port=N] [--kind=prom|json|trace|slo|flight]\n"
+      "       tango_stat --connect=HOST --watch=SECS [--count=N]\n"
       "       tango_stat --demo [--chrome-out=FILE] [--slow-us=0]\n"
       "       tango_stat --selftest [--chrome-out=FILE]\n");
   return 2;
@@ -217,67 +214,28 @@ int RunDemo(const tangotools::ToolArgs& args, bool selftest) {
   return failures == 0 ? 0 : 1;
 }
 
-// Fetches one stats payload from the daemon, over the stats RPC or (with
-// --http) the observability HTTP port.  The two transports carry the same
-// renderings, so everything downstream is transport-agnostic.
+// Fetches `path` from the daemon's observability HTTP port.
 tango::Result<std::string> Fetch(const tangotools::ToolArgs& args,
-                                 tango::obs::StatsKind kind) {
-  std::string host = args.Get("connect", "");
+                                 const char* path) {
   tangotools::NodeLayout layout{
       static_cast<int>(args.GetInt("nodes", 6)),
       static_cast<uint16_t>(args.GetInt("base-port", 19700))};
-  if (args.Get("http", "") == "true") {
-    const char* path = "/metrics";
-    switch (kind) {
-      case tango::obs::StatsKind::kMetricsText:
-      case tango::obs::StatsKind::kPrometheus:
-        path = "/metrics";
-        break;
-      case tango::obs::StatsKind::kMetricsJson:
-        path = "/vars";
-        break;
-      case tango::obs::StatsKind::kChromeTrace:
-        path = "/traces";
-        break;
-      case tango::obs::StatsKind::kSloJson:
-        path = "/slo";
-        break;
-      case tango::obs::StatsKind::kFlightRecorder:
-        path = "/flight";
-        break;
-    }
-    uint16_t port =
-        static_cast<uint16_t>(args.GetInt("http-port", layout.HttpPort()));
-    return tango::obs::HttpGet(host, port, path, /*timeout_ms=*/5000);
-  }
-  tango::TcpTransport transport;
-  transport.AddRoute(tangotools::NodeLayout::kStatsNode, host,
-                     layout.StatsPort());
-  return tango::obs::FetchStats(&transport,
-                                tangotools::NodeLayout::kStatsNode, kind);
+  uint16_t port =
+      static_cast<uint16_t>(args.GetInt("http-port", layout.HttpPort()));
+  return tango::obs::HttpGet(args.Get("connect", ""), port, path,
+                             /*timeout_ms=*/5000);
 }
 
 int RunConnect(const tangotools::ToolArgs& args) {
-  std::string kind_name = args.Get("kind", "text");
-
-  tango::obs::StatsKind kind;
-  if (kind_name == "text") {
-    kind = tango::obs::StatsKind::kMetricsText;
-  } else if (kind_name == "json") {
-    kind = tango::obs::StatsKind::kMetricsJson;
-  } else if (kind_name == "trace") {
-    kind = tango::obs::StatsKind::kChromeTrace;
-  } else if (kind_name == "prom") {
-    kind = tango::obs::StatsKind::kPrometheus;
-  } else if (kind_name == "slo") {
-    kind = tango::obs::StatsKind::kSloJson;
-  } else if (kind_name == "flight") {
-    kind = tango::obs::StatsKind::kFlightRecorder;
-  } else {
+  static const std::map<std::string, const char*> kPaths = {
+      {"prom", "/metrics"}, {"json", "/vars"},    {"trace", "/traces"},
+      {"slo", "/slo"},      {"flight", "/flight"}};
+  auto path = kPaths.find(args.Get("kind", "prom"));
+  if (path == kPaths.end()) {
     return Usage();
   }
 
-  auto payload = Fetch(args, kind);
+  auto payload = Fetch(args, path->second);
   if (!payload.ok()) {
     std::fprintf(stderr, "tango_stat: fetch from %s failed: %s\n",
                  args.Get("connect", "").c_str(),
@@ -330,7 +288,7 @@ int RunWatch(const tangotools::ToolArgs& args) {
   std::map<std::string, double> prev;
   bool first = true;
   for (uint64_t polls = 0; count == 0 || polls < count; ++polls) {
-    auto payload = Fetch(args, tango::obs::StatsKind::kPrometheus);
+    auto payload = Fetch(args, "/metrics");
     if (!payload.ok()) {
       std::fprintf(stderr, "tango_stat: watch fetch failed: %s\n",
                    payload.status().ToString().c_str());
